@@ -33,11 +33,14 @@ def leverage_exact(a) -> WeightVector:
 
 
 def leverage_approx(a, eps: float, rng: RandomSource) -> WeightVector:
-    """Sketched leverage scores within (1 +- eps) per entry, w.h.p. per run.
+    """Sketched leverage scores, each within [1/(1+eps)^2, 1/(1-eps)^2] of exact.
 
     A Gaussian sketch G with ceil(8 ln n / eps^2) rows compresses A, the R
     factor of G @ A preconditions the rows, and the squared preconditioned
-    row norms estimate the scores.  Requires full column rank.
+    row norms estimate the scores.  When G is a (1 +- eps) subspace embedding
+    of the column space of A, which that sketch size aims for w.h.p., every
+    estimate lies in [tau_i / (1+eps)^2, tau_i / (1-eps)^2]; the sketch is too
+    small to promise (1 +- eps) per entry.  Requires full column rank.
     """
     a = require_tall_full_rank(a)
     if not 0.0 < eps < 1.0:

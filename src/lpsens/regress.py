@@ -5,8 +5,17 @@ The quantity everything reduces to is
     min ||B x||_p^p   subject to   a @ x = 1,
 
 whose reciprocal is the sensitivity of the row ``a`` with respect to ``B``.
-p = 1 is solved exactly as a linear program; other p by iteratively
-reweighted least squares on a smoothed objective.
+p = 1 is solved exactly as a linear program, one per row; p = 2 has a closed
+form; other p are solved by iteratively reweighted least squares (IRLS) on a
+smoothed objective.
+
+IRLS handles all rows of a batch together.  Each row's hyperplane is
+eliminated into one entry of a stack of (m, d - 1) matrices, and every
+iteration forms and solves the weighted normal equations of the rows still
+active as one stack.  Rows retire as soon as they converge, and no row's
+arithmetic depends on another's, so a row gets bit-identical results whether
+it is solved alone or in any batch.  Working memory is capped by solving the
+rows in chunks of at most ``_CHUNK_ELEMENTS`` stacked matrix entries.
 """
 
 from __future__ import annotations
@@ -15,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import as_matrix, as_vector, lp_norm, pseudoinverse_gram
 from .leverage import leverage_exact
@@ -33,23 +41,30 @@ class RegressionSolution:
     iterations: int
 
 
-def _eliminate_hyperplane(B, a):
-    """Substitute the largest-|a_j| coordinate out of  a @ x = 1.
+def _eliminate_hyperplanes(B, A):
+    """Substitute each row's largest-|a_j| coordinate out of  a @ x = 1.
 
-    Returns (M, c, k, rest) with  B x = M z + c  where z are the remaining
-    coordinates and x_k = (1 - a_rest @ z) / a_k.
+    For row i of A returns M[i], c[i] with  B x = M[i] z + c[i],  where z are
+    the coordinates rest[i] and x_k = (1 - a_rest @ z) / a_k for k = k[i].
+    Every stack entry is computed from its own row alone.
     """
-    k = int(np.argmax(np.abs(a)))  # ties resolve to the lowest index
-    rest = np.concatenate([np.arange(k), np.arange(k + 1, a.shape[0])])
-    col = B[:, k] / a[k]
-    M = B[:, rest] - np.outer(col, a[rest])
-    return M, col, k, rest
+    K, d = A.shape
+    k = np.argmax(np.abs(A), axis=1)  # ties resolve to the lowest index
+    j = np.arange(d - 1)
+    rest = j + (j >= k[:, None])
+    c = np.ascontiguousarray(B[:, k].T) / A[np.arange(K), k][:, None]
+    a_rest = np.take_along_axis(A, rest, axis=1)
+    M = np.empty((K, B.shape[0], d - 1))
+    np.subtract(B[:, rest].transpose(1, 0, 2), c[:, :, None] * a_rest[:, None, :], out=M)
+    return M, c, k, rest
 
 
-def _assemble(z, k, rest, a, d):
-    x = np.empty(d)
-    x[rest] = z
-    x[k] = (1.0 - a[rest] @ z) / a[k]
+def _assemble(z, A, k, rest):
+    rows = np.arange(A.shape[0])
+    x = np.empty(A.shape)
+    np.put_along_axis(x, rest, z, axis=1)
+    a_rest = np.take_along_axis(A, rest, axis=1)
+    x[rows, k] = (1.0 - np.sum(a_rest * z, axis=1)) / A[rows, k]
     return x
 
 
@@ -114,71 +129,120 @@ def _min_l1_dual(B, a):
     return _min_l1_primal(B, a)  # degenerate recovery: fall back to the literal form
 
 
+def _matvec(M, v):
+    """M[i] @ v[i] for every stack entry."""
+    return np.matmul(M, v[..., None])[..., 0]
+
+
+def _least_squares(M, c, wgt=None):
+    """argmin_z of sum(wgt[i] * (M[i] z + c[i])**2) per stack entry (normal equations)."""
+    WM = M if wgt is None else M * wgt[:, :, None]
+    G = np.matmul(M.transpose(0, 2, 1), WM)
+    return _solve(G, -_matvec(WM.transpose(0, 2, 1), c))
+
+
+def _smoothed(r, d2, p):
+    return np.sum((r * r + d2) ** (p / 2.0), axis=1)
+
+
+def _solve(G, rhs):
+    """Solve every G[i] z = rhs[i]; singular entries fall back to lstsq alone."""
+    try:
+        return np.linalg.solve(G, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        pass  # redo entry by entry, through the same stacked call, so others keep their bits
+    z = np.empty_like(rhs)
+    for i in range(G.shape[0]):
+        try:
+            z[i] = np.linalg.solve(G[i : i + 1], rhs[i : i + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            z[i] = np.linalg.lstsq(G[i], rhs[i], rcond=None)[0]
+    return z
+
+
 def _least_squares_feasible(B, a):
     """min ||Bx||_2 over the hyperplane, used only as a certificate carrier."""
-    d = a.shape[0]
-    if d == 1:
-        return np.array([1.0 / a[0]])
-    M, c, k, rest = _eliminate_hyperplane(B, a)
-    z = np.linalg.lstsq(M, -c, rcond=None)[0]
-    return _assemble(z, k, rest, a, d)
+    A = a[None, :]
+    M, c, k, rest = _eliminate_hyperplanes(B, A)
+    return _assemble(_least_squares(M, c), A, k, rest)[0]
 
 
 _DELTAS = 10.0 ** np.arange(-2.0, -11.0, -1.0)  # 1e-2 geometrically down to 1e-10
+# float64 entries of one stack of eliminated matrices; rows are solved in chunks
+# of this size over m * (d - 1), which bounds working memory at a few times it
+_CHUNK_ELEMENTS = 1 << 21
 
 
-def _min_lp_irls(B, a, p, max_inner=60):
-    """Smoothed IRLS: minimize sum((r^2 + delta^2)^(p/2)) with delta annealed."""
-    m, d = B.shape
-    M, c, k, rest = _eliminate_hyperplane(B, a)
-    z = np.linalg.lstsq(M, -c, rcond=None)[0]
-    r = M @ z + c
-    if p == 2:  # weights are constant, the least-squares start is already optimal
-        x = _assemble(z, k, rest, a, d)
-        return RegressionSolution(
-            x_opt=x, value=float(np.sum(r * r)), status="optimal", iterations=1
+def _min_lp_irls(B, A, p, max_inner=60):
+    """Smoothed IRLS for every row a of A: min ||B x||_p^p subject to a @ x = 1.
+
+    Minimizes sum((r^2 + delta^2)^(p/2)) with delta annealed, on all rows at
+    once: each row's hyperplane is eliminated into a stack entry, and the
+    weighted normal equations of the still-active rows are formed and solved
+    as one stack per iteration.  Rows retire independently, so every row's
+    result is bit-identical to solving it alone.  A has no zero rows and
+    d >= 2.
+
+    Returns per-row arrays (x_opt, value, converged, iterations).
+    """
+    K, d = A.shape
+    x = np.empty((K, d))
+    value = np.empty(K)
+    converged = np.empty(K, dtype=bool)
+    iterations = np.empty(K, dtype=np.intp)
+    step = max(1, _CHUNK_ELEMENTS // (B.shape[0] * (d - 1)))
+    for s in range(0, K, step):
+        part = slice(s, s + step)
+        x[part], value[part], converged[part], iterations[part] = _irls_chunk(
+            B, A[part], p, max_inner
         )
+    return x, value, converged, iterations
 
-    iterations = 0
-    converged = True
+
+def _irls_chunk(B, A, p, max_inner):
+    M, c, k, rest = _eliminate_hyperplanes(B, A)
+    z = _least_squares(M, c)
+    r = _matvec(M, z) + c
+    K = A.shape[0]
+    iterations = np.zeros(K, dtype=np.intp)
+    converged = np.ones(K, dtype=bool)
+    if p == 2:  # weights are constant, the least-squares start is already optimal
+        iterations[:] = 1
+        return _assemble(z, A, k, rest), np.sum(r * r, axis=1), converged, iterations
+
     for delta in _DELTAS:
         d2 = delta * delta
-        obj = float(np.sum((r * r + d2) ** (p / 2.0)))
-        converged = False
+        converged[:] = False
+        act = np.arange(K)  # rows still iterating at this delta
+        Ma, ca, za, ra = M, c, z, r
+        obj = _smoothed(ra, d2, p)
         for _ in range(max_inner):
-            wgt = (r * r + d2) ** (p / 2.0 - 1.0)
-            WM = M * wgt[:, None]
-            G = M.T @ WM
-            rhs = -(WM.T @ c)
-            try:
-                z_new = scipy.linalg.solve(G, rhs, assume_a="pos")
-            except scipy.linalg.LinAlgError:
-                z_new = np.linalg.lstsq(G, rhs, rcond=None)[0]
-            iterations += 1
-            r_new = M @ z_new + c
-            obj_new = float(np.sum((r_new * r_new + d2) ** (p / 2.0)))
+            z_new = _least_squares(Ma, ca, (ra * ra + d2) ** (p / 2.0 - 1.0))
+            iterations[act] += 1
+            r_new = _matvec(Ma, z_new) + ca
+            obj_new = _smoothed(r_new, d2, p)
             # for p > 2 the full step can overshoot; halve back until it descends
-            halvings = 0
-            while obj_new > obj * (1.0 + 1e-12) and halvings < 40:
-                z_new = 0.5 * (z_new + z)
-                r_new = M @ z_new + c
-                obj_new = float(np.sum((r_new * r_new + d2) ** (p / 2.0)))
-                halvings += 1
-            z, r = z_new, r_new
-            if abs(obj - obj_new) <= 1e-11 * (1.0 + abs(obj_new)):
-                obj = obj_new
-                converged = True
-                break
-            obj = obj_new
+            for _ in range(40):
+                up = np.flatnonzero(obj_new > obj * (1.0 + 1e-12))
+                if up.size == 0:
+                    break
+                z_new[up] = 0.5 * (z_new[up] + za[up])
+                r_new[up] = _matvec(Ma[up], z_new[up]) + ca[up]
+                obj_new[up] = _smoothed(r_new[up], d2, p)
+            done = np.abs(obj - obj_new) <= 1e-11 * (1.0 + np.abs(obj_new))
+            za, ra, obj = z_new, r_new, obj_new
+            if done.any():
+                # retire the rows converged at this delta; copy the rest only now
+                fin = act[done]
+                z[fin], r[fin], converged[fin] = za[done], ra[done], True
+                live = ~done
+                act, Ma, ca = act[live], Ma[live], ca[live]
+                za, ra, obj = za[live], ra[live], obj[live]
+                if act.size == 0:
+                    break
+        z[act], r[act] = za, ra
 
-    x = _assemble(z, k, rest, a, d)
-    value = float(np.sum(np.abs(r) ** p))
-    return RegressionSolution(
-        x_opt=x,
-        value=value,
-        status="optimal" if converged else "iteration_limit",
-        iterations=iterations,
-    )
+    return _assemble(z, A, k, rest), np.sum(np.abs(r) ** p, axis=1), converged, iterations
 
 
 def min_lp_on_hyperplane(B, a, p, solver: str = "auto") -> RegressionSolution:
@@ -213,7 +277,13 @@ def min_lp_on_hyperplane(B, a, p, solver: str = "auto") -> RegressionSolution:
             raise ValueError("the LP path is exact only for p = 1")
         return _min_l1_dual(B, a)
     if solver == "irls":
-        return _min_lp_irls(B, a, p)
+        x, value, converged, iterations = _min_lp_irls(B, a[None, :], p)
+        return RegressionSolution(
+            x_opt=x[0],
+            value=float(value[0]),
+            status="optimal" if converged[0] else "iteration_limit",
+            iterations=int(iterations[0]),
+        )
     raise ValueError(f"unknown solver {solver!r}")
 
 
@@ -221,22 +291,25 @@ def sensitivity_one(a, B, p) -> float:
     """Sensitivity of the row a with respect to B: 1 / min ||Bx||_p^p on a@x=1.
 
     Returns 0.0 for a zero row and inf when the minimum vanishes (a outside
-    the row space of B).
+    the row space of B).  Same value as the row gets from ``sensitivities_wrt``.
     """
-    a = as_vector(a)
-    B = as_matrix(B)
-    if np.all(a == 0.0):
-        return 0.0
-    sol = min_lp_on_hyperplane(B, a, p)
-    if sol.value <= _RANGE_TOL * float(np.linalg.norm(a)) ** p:
-        return math.inf
-    return 1.0 / sol.value
+    return float(sensitivities_wrt(as_vector(a)[None, :], B, p)[0])
 
 
 def sensitivities_wrt(M, B, p) -> np.ndarray:
-    """Sensitivity of every row of M with respect to the matrix B."""
+    """Sensitivity of every row of M with respect to the matrix B.
+
+    p = 2 has a closed form and p = 1 (or d = 1) solves one exact problem per
+    row; any other p solves all rows together in one stacked IRLS run, and a
+    row's value does not depend on which rows share its batch.  Zero rows get
+    0.0 and rows outside the row space of B get inf.
+    """
     M = as_matrix(M)
     B = as_matrix(B)
+    if M.shape[1] != B.shape[1]:
+        raise ValueError(f"shape mismatch: B has {B.shape[1]} columns, M has {M.shape[1]}")
+    if not p >= 1:
+        raise ValueError(f"p must be >= 1, got {p}")
     if p == 2:
         G = pseudoinverse_gram(B)
         vals = np.einsum("ij,jk,ik->i", M, G, M)
@@ -248,7 +321,17 @@ def sensitivities_wrt(M, B, p) -> np.ndarray:
         vals[outside] = math.inf
         vals[np.all(M == 0.0, axis=1)] = 0.0
         return vals
-    return np.array([sensitivity_one(M[i], B, p) for i in range(M.shape[0])])
+
+    live = np.flatnonzero(np.any(M != 0.0, axis=1))
+    rows = M[live]
+    if p == 1 or B.shape[1] == 1:
+        values = np.array([min_lp_on_hyperplane(B, a, p).value for a in rows])
+    else:
+        values = _min_lp_irls(B, rows, p)[1]
+    outside = values <= _RANGE_TOL * np.linalg.norm(rows, axis=1) ** p
+    vals = np.zeros(M.shape[0])
+    vals[live] = np.divide(1.0, values, out=np.full(live.size, math.inf), where=~outside)
+    return vals
 
 
 def sensitivities_exact(A, p) -> "WeightVector":

@@ -81,13 +81,16 @@ def sensitivities_rowwise(a, cfg: RowwiseConfig, rng: RandomSource) -> RowwiseRe
     for rep in range(cfg.repetitions):
         rep_rng = rng.child("rep", rep)
         blocks = random_blocks(n, cfg.alpha, rep_rng.child("blocks"))
+        compressed = []
         for bi, block in enumerate(blocks):
             gen = rep_rng.child("signs", bi).generator()
             signs = gen.integers(0, 2, size=(cfg.signs_per_block, block.size)) * 2.0 - 1.0
-            compressed = signs @ a[block]
-            sens = sensitivities_wrt(compressed, sa, cfg.p)
-            calls += compressed.shape[0]
-            per_rep[rep, block] = sens.max()
+            compressed.append(signs @ a[block])
+        # one oracle call per repetition; row j of block b sits at b * signs_per_block + j
+        sens = sensitivities_wrt(np.vstack(compressed), sa, cfg.p)
+        calls += sens.size
+        for block, top in zip(blocks, sens.reshape(len(blocks), -1).max(axis=1)):
+            per_rep[rep, block] = top
 
     estimates = np.median(per_rep, axis=0)
     weights = WeightVector(values=estimates, kind="sensitivity", p=float(cfg.p))

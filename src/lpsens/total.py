@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
+from .core import (  # noqa: F401 - perfbench/tracer.py wraps total.pseudoinverse_gram
     RandomSource,
     as_matrix,
     pseudoinverse_gram,
@@ -114,33 +114,25 @@ class OneShotTotal:
         )
         self.sa = embedding.materialize(a)
         self.embedded_rows = len(embedding)
-        if self.p == 2.0:
-            self._gram_pinv = pseudoinverse_gram(self.sa)
-        self._cache: dict[int, float] = {}
+        self._memo = np.full(n, np.nan)  # sensitivity of each row against sa, once computed
 
-    def _sensitivity(self, i: int) -> float:
-        hit = self._cache.get(i)
-        if hit is not None:
-            return hit
-        if self.p == 2.0:
-            row = self.a[i]
-            val = float(row @ self._gram_pinv @ row)
-        else:
-            val = float(sensitivities_wrt(self.a[i : i + 1], self.sa, self.p)[0])
-        self._cache[i] = val
-        return val
+    def _sensitivities(self, rows: np.ndarray) -> np.ndarray:
+        """Sensitivities of the given rows, computing the missing ones in one call."""
+        missing = np.unique(rows[np.isnan(self._memo[rows])])
+        if missing.size:
+            self._memo[missing] = sensitivities_wrt(self.a[missing], self.sa, self.p)
+        return self._memo[rows]
 
     def embedded_total(self) -> float:
         """Sum of every row's sensitivity against the embedded matrix."""
-        return float(sum(self._sensitivity(i) for i in range(self.a.shape[0])))
+        return float(self._sensitivities(np.arange(self.a.shape[0])).sum())
 
     def estimate(self, rng: RandomSource) -> float:
         gen = rng.generator()
         idx = gen.choice(self.a.shape[0], size=self.sample_size, replace=True, p=self.probs)
-        total = 0.0
-        for i in idx:
-            total += self._sensitivity(int(i)) / float(self.v[i])
-        return float(total / self.sample_size)
+        # accumulate in sample order (add.accumulate is sequential, unlike sum)
+        ratios = self._sensitivities(idx) / self.v[idx]
+        return float(np.add.accumulate(ratios)[-1] / self.sample_size)
 
 
 def total_lewis_oneshot(a, cfg: TotalConfig, rng: RandomSource) -> float:

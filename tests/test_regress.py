@@ -137,3 +137,63 @@ class TestSensitivities:
         doubled = np.vstack([a, a[0]])
         new = sensitivities_exact(doubled, 2).values[0]
         assert new == pytest.approx(base / (1.0 + base), rel=1e-9)
+
+
+class TestBatchedIrls:
+    """Every row's IRLS result is independent of the batch it is solved in."""
+
+    @staticmethod
+    def assert_batch_invariant(rows, b, p, rng, monkeypatch):
+        import lpsens.regress as regress
+
+        full = sensitivities_wrt(rows, b, p)
+        alone = np.array([sensitivity_one(row, b, p) for row in rows])
+        assert np.array_equal(full, alone)
+        perm = rng.permutation(rows.shape[0])
+        assert np.array_equal(sensitivities_wrt(rows[perm], b, p), full[perm])
+        per_row = b.shape[0] * (b.shape[1] - 1)
+        for chunk_rows in (1, 2, 3):
+            monkeypatch.setattr(regress, "_CHUNK_ELEMENTS", chunk_rows * per_row)
+            assert np.array_equal(sensitivities_wrt(rows, b, p), full)
+        return full
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_full_rank(self, np_rng, monkeypatch, p):
+        b = random_tall(np_rng, 40, 4, scale_rows=True)
+        rows = np_rng.standard_normal((11, 4))
+        rows[4] = 0.0
+        vals = self.assert_batch_invariant(rows, b, p, np_rng, monkeypatch)
+        assert vals[4] == 0.0
+        assert np.all(np.delete(vals, 4) > 0.0) and np.all(np.isfinite(vals))
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_rank_deficient(self, np_rng, monkeypatch, p):
+        # with a zero column, rows that avoid it have a singular normal matrix,
+        # rows that use it lie outside the row space
+        b = random_tall(np_rng, 30, 3, scale_rows=True)
+        b[:, 2] = 0.0
+        rows = np_rng.standard_normal((7, 3))
+        rows[[0, 3, 5], 2] = 0.0
+        rows[6] = 0.0
+        vals = self.assert_batch_invariant(rows, b, p, np_rng, monkeypatch)
+        reduced = sensitivities_wrt(rows[[0, 3, 5], :2], b[:, :2], p)
+        np.testing.assert_allclose(vals[[0, 3, 5]], reduced, rtol=1e-8)
+        assert np.all(np.isinf(vals[[1, 2, 4]]))
+        assert vals[6] == 0.0
+
+    def test_irls_reports_status_and_iterations(self, np_rng):
+        b = random_tall(np_rng, 20, 3)
+        sol = min_lp_on_hyperplane(b, np_rng.standard_normal(3), 1.5, solver="irls")
+        assert sol.status == "optimal" and 0 < sol.iterations < 9 * 60
+
+    def test_irls_reports_iteration_limit(self):
+        # a seeded p = 1 instance on which smoothing never settles within 60
+        # inner iterations per delta
+        g = np.random.default_rng(20)
+        b = g.standard_normal((20, 3)) * np.exp(g.uniform(-1.5, 1.5, 20))[:, None]
+        a = g.standard_normal(3)
+        sol = min_lp_on_hyperplane(b, a, 1, solver="irls")
+        assert sol.status == "iteration_limit"
+        assert sol.iterations == 9 * 60
+        lp_val = min_lp_on_hyperplane(b, a, 1, solver="lp").value
+        assert sol.value == pytest.approx(lp_val, rel=1e-3)

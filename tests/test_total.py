@@ -67,6 +67,47 @@ class TestOneShot:
         y = total_lewis_oneshot(a, cfg, RandomSource(4))
         assert x == y
 
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_estimate_is_sample_order_sum_of_oracle_ratios(self, np_rng, p):
+        a = random_tall(np_rng, 60, 3, scale_rows=True)
+        shot = OneShotTotal(a, TotalConfig(p=p, gamma=0.5), RandomSource(8))
+        rng = RandomSource(9)
+        idx = rng.generator().choice(60, size=shot.sample_size, replace=True, p=shot.probs)
+        sens = sensitivities_wrt(a[idx], shot.sa, p)
+        expected = 0.0
+        for s, i in zip(sens, idx):
+            expected += s / shot.v[i]
+        assert shot.estimate(rng) == expected / shot.sample_size
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_embedded_total_sums_the_oracle(self, np_rng, p):
+        a = random_tall(np_rng, 50, 3)
+        shot = OneShotTotal(a, TotalConfig(p=p, gamma=0.5), RandomSource(2))
+        shot.estimate(RandomSource(3))  # part of the memo comes from another batch
+        assert shot.embedded_total() == sensitivities_wrt(a, shot.sa, p).sum()
+
+    def test_memo_spares_repeated_oracle_rows(self, np_rng, monkeypatch):
+        import lpsens.total
+
+        a = random_tall(np_rng, 60, 3)
+        shot = OneShotTotal(a, TotalConfig(p=1.5, gamma=0.5), RandomSource(4))
+        asked = []
+
+        def counting(rows, b, p):
+            asked.append(rows.copy())
+            return sensitivities_wrt(rows, b, p)
+
+        monkeypatch.setattr(lpsens.total, "sensitivities_wrt", counting)
+        first = shot.estimate(RandomSource(5))
+        assert len(asked) == 1
+        assert shot.estimate(RandomSource(5)) == first
+        assert len(asked) == 1
+        shot.estimate(RandomSource(6))
+        seen = {r.tobytes() for r in asked[0]}
+        assert len(asked) == 2 and not any(r.tobytes() in seen for r in asked[1])
+        shot.embedded_total()
+        assert sum(len(r) for r in asked) == 60
+
     def test_sample_size_formula(self, np_rng):
         a = random_tall(np_rng, 50, 4)
         shot = OneShotTotal(a, TotalConfig(p=3, gamma=0.25, c_m=7.0), RandomSource(0))

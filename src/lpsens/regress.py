@@ -5,14 +5,16 @@ The quantity everything reduces to is
     min ||B x||_p^p   subject to   a @ x = 1,
 
 whose reciprocal is the sensitivity of the row ``a`` with respect to ``B``.
-p = 1 is solved exactly as a linear program, one per row; p = 2 has a closed
-form; other p are solved by iteratively reweighted least squares (IRLS) on a
-smoothed objective.
+p = 1 is solved exactly as a linear program; p = 2 and d = 1 have closed
+forms; other p are solved by iteratively reweighted least squares (IRLS) on
+a smoothed objective.
 
-IRLS handles all rows of a batch together.  Each row's hyperplane is
-eliminated into one entry of a stack of (m, d - 1) matrices, and every
+Both solvers handle all rows of a batch together.  At p = 1 every row's dual
+LP differs from the others only in one column, so the batch is one stack of
+LPs that the simplex advances in lockstep.  IRLS eliminates each row's
+hyperplane into one entry of a stack of (m, d - 1) matrices, and every
 iteration forms and solves the weighted normal equations of the rows still
-active as one stack.  Rows retire as soon as they converge, and no row's
+active as one stack.  Rows retire as soon as they finish, and no row's
 arithmetic depends on another's, so a row gets bit-identical results whether
 it is solved alone or in any batch.  Working memory is capped by solving the
 rows in chunks of at most ``_CHUNK_ELEMENTS`` stacked matrix entries.
@@ -25,11 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, as_vector, lp_norm, pseudoinverse_gram
+from .core import as_matrix, as_vector, pseudoinverse_gram
 from .leverage import leverage_exact
-from .simplex import solve_lp
+from .simplex import solve_lp, solve_lp_stack
 
-VALUE_TOL = 1e-6  # target relative accuracy of the optimal value
 _RANGE_TOL = 1e-12  # below this times ||a||^p the row is outside the row space
 
 
@@ -94,39 +95,46 @@ def _min_l1_primal(B, a):
     )
 
 
-def _min_l1_dual(B, a):
-    """Box-form dual of the same LP: max lambda s.t. B^T v = lambda a, |v| <= 1.
+def _min_l1_dual(B, A):
+    """Box-form dual of the same LP for every row a of A: max lambda s.t.
+    B^T v = lambda a, |v| <= 1.
 
     The optimum equals min ||Bx||_1 on the hyperplane, the basis stays d x d,
-    and the row multipliers recover the minimizer x.
+    and the row multipliers recover the minimizer x.  The rows' LPs share
+    everything but their last column, so each chunk of rows is one stack.  A
+    row whose multipliers fail the recovery check is redone alone.
+
+    Returns per-row arrays (x_opt, value, pivots).
     """
     m, d = B.shape
-    A = np.empty((d, m + 1))
-    A[:, :m] = B.T
-    A[:, m] = -a
     b = B.sum(axis=0)  # from shifting v = w - 1 into w in [0, 2]
     c = np.zeros(m + 1)
     c[m] = -1.0
     ub = np.full(m + 1, 2.0)
     ub[m] = np.inf
-    res = solve_lp(c, A, b, upper=ub)
-    value = -res.value
-    x = res.duals
-    ok = (
-        abs(a @ x - 1.0) <= 1e-6
-        and abs(lp_norm(B @ x, 1) - value) <= max(1e-7, 1e-6 * value)
+    K = A.shape[0]
+    x = np.empty((K, d))
+    value = np.empty(K)
+    pivots = np.empty(K, dtype=np.intp)
+    for part in _chunks(K, d * (m + 1 + d)):  # a tableau is d x (m + 1 + d)
+        rows = A[part]
+        stack = np.empty((rows.shape[0], d, m + 1))
+        stack[:, :, :m] = B.T
+        stack[:, :, m] = -rows
+        res = solve_lp_stack(c, stack, b, upper=ub)
+        x[part], value[part], pivots[part] = res.duals, -res.value, res.pivots
+
+    ok = (np.abs(np.sum(A * x, axis=1) - 1.0) <= 1e-6) & (
+        np.abs(np.abs(x @ B.T).sum(axis=1) - value) <= np.maximum(1e-7, 1e-6 * value)
     )
-    if ok:
-        return RegressionSolution(
-            x_opt=x, value=value, status="optimal", iterations=res.pivots
-        )
-    if value <= 1e-9 * (1.0 + float(np.abs(B).max())):
-        # the minimum is (numerically) zero: any feasible near-null x will do
-        x = _least_squares_feasible(B, a)
-        return RegressionSolution(
-            x_opt=x, value=value, status="optimal", iterations=res.pivots
-        )
-    return _min_l1_primal(B, a)  # degenerate recovery: fall back to the literal form
+    for i in np.flatnonzero(~ok):
+        if value[i] <= 1e-9 * (1.0 + float(np.abs(B).max())):
+            # the minimum is (numerically) zero: any feasible near-null x will do
+            x[i] = _least_squares_feasible(B, A[i])
+        else:  # degenerate recovery: fall back to the literal form
+            sol = _min_l1_primal(B, A[i])
+            x[i], value[i], pivots[i] = sol.x_opt, sol.value, sol.iterations
+    return x, value, pivots
 
 
 def _matvec(M, v):
@@ -168,9 +176,21 @@ def _least_squares_feasible(B, a):
 
 
 _DELTAS = 10.0 ** np.arange(-2.0, -11.0, -1.0)  # 1e-2 geometrically down to 1e-10
-# float64 entries of one stack of eliminated matrices; rows are solved in chunks
-# of this size over m * (d - 1), which bounds working memory at a few times it
+# float64 entries of one stack (eliminated matrices or simplex tableaus); rows
+# are solved in chunks of this size, which bounds working memory at a few times it
 _CHUNK_ELEMENTS = 1 << 21
+
+
+def _chunks(K, per_row):
+    """Slices of range(K), each of at most _CHUNK_ELEMENTS // per_row rows (at least one)."""
+    step = max(1, _CHUNK_ELEMENTS // per_row)
+    return [slice(s, s + step) for s in range(0, K, step)]
+
+
+def _min_lp_one_column(b, a, p):
+    """d = 1: x = 1 / a is forced, so the value is sum_j |b_j x|^p for every entry a."""
+    x = 1.0 / a
+    return x, np.sum(np.abs(b[None, :] * x[:, None]) ** p, axis=1)
 
 
 def _min_lp_irls(B, A, p, max_inner=60):
@@ -190,9 +210,7 @@ def _min_lp_irls(B, A, p, max_inner=60):
     value = np.empty(K)
     converged = np.empty(K, dtype=bool)
     iterations = np.empty(K, dtype=np.intp)
-    step = max(1, _CHUNK_ELEMENTS // (B.shape[0] * (d - 1)))
-    for s in range(0, K, step):
-        part = slice(s, s + step)
+    for part in _chunks(K, B.shape[0] * (d - 1)):
         x[part], value[part], converged[part], iterations[part] = _irls_chunk(
             B, A[part], p, max_inner
         )
@@ -266,16 +284,18 @@ def min_lp_on_hyperplane(B, a, p, solver: str = "auto") -> RegressionSolution:
         raise ValueError("hyperplane row a must be nonzero")
 
     if a.shape[0] == 1:
-        x = np.array([1.0 / a[0]])
-        value = float(np.sum(np.abs(B[:, 0] * x[0]) ** p))
-        return RegressionSolution(x_opt=x, value=value, status="optimal", iterations=0)
+        x, value = _min_lp_one_column(B[:, 0], a, p)
+        return RegressionSolution(x_opt=x, value=float(value[0]), status="optimal", iterations=0)
 
     if solver == "auto":
         solver = "lp" if p == 1 else "irls"
     if solver == "lp":
         if p != 1:
             raise ValueError("the LP path is exact only for p = 1")
-        return _min_l1_dual(B, a)
+        x, value, pivots = _min_l1_dual(B, a[None, :])
+        return RegressionSolution(
+            x_opt=x[0], value=float(value[0]), status="optimal", iterations=int(pivots[0])
+        )
     if solver == "irls":
         x, value, converged, iterations = _min_lp_irls(B, a[None, :], p)
         return RegressionSolution(
@@ -299,10 +319,10 @@ def sensitivity_one(a, B, p) -> float:
 def sensitivities_wrt(M, B, p) -> np.ndarray:
     """Sensitivity of every row of M with respect to the matrix B.
 
-    p = 2 has a closed form and p = 1 (or d = 1) solves one exact problem per
-    row; any other p solves all rows together in one stacked IRLS run, and a
-    row's value does not depend on which rows share its batch.  Zero rows get
-    0.0 and rows outside the row space of B get inf.
+    p = 2 and d = 1 have closed forms; p = 1 solves all rows' LPs as one
+    lockstep simplex stack and any other p all rows in one stacked IRLS run.
+    A row's value does not depend on which rows share its batch.  Zero rows
+    get 0.0 and rows outside the row space of B get inf.
     """
     M = as_matrix(M)
     B = as_matrix(B)
@@ -324,8 +344,10 @@ def sensitivities_wrt(M, B, p) -> np.ndarray:
 
     live = np.flatnonzero(np.any(M != 0.0, axis=1))
     rows = M[live]
-    if p == 1 or B.shape[1] == 1:
-        values = np.array([min_lp_on_hyperplane(B, a, p).value for a in rows])
+    if B.shape[1] == 1:
+        values = _min_lp_one_column(B[:, 0], rows[:, 0], p)[1]
+    elif p == 1:
+        values = _min_l1_dual(B, rows)[1]
     else:
         values = _min_lp_irls(B, rows, p)[1]
     outside = values <= _RANGE_TOL * np.linalg.norm(rows, axis=1) ** p

@@ -143,7 +143,9 @@ class TestBatchedIrls:
     """Every row's IRLS result is independent of the batch it is solved in."""
 
     @staticmethod
-    def assert_batch_invariant(rows, b, p, rng, monkeypatch):
+    def assert_batch_invariant(rows, b, p, rng, monkeypatch, per_row=None):
+        """Alone, permuted and in 1-3-row chunks (``per_row`` stack entries
+        per row; default: one eliminated IRLS matrix) a row gets the same bits."""
         import lpsens.regress as regress
 
         full = sensitivities_wrt(rows, b, p)
@@ -151,7 +153,8 @@ class TestBatchedIrls:
         assert np.array_equal(full, alone)
         perm = rng.permutation(rows.shape[0])
         assert np.array_equal(sensitivities_wrt(rows[perm], b, p), full[perm])
-        per_row = b.shape[0] * (b.shape[1] - 1)
+        if per_row is None:
+            per_row = b.shape[0] * (b.shape[1] - 1)
         for chunk_rows in (1, 2, 3):
             monkeypatch.setattr(regress, "_CHUNK_ELEMENTS", chunk_rows * per_row)
             assert np.array_equal(sensitivities_wrt(rows, b, p), full)
@@ -197,3 +200,59 @@ class TestBatchedIrls:
         assert sol.iterations == 9 * 60
         lp_val = min_lp_on_hyperplane(b, a, 1, solver="lp").value
         assert sol.value == pytest.approx(lp_val, rel=1e-3)
+
+
+class TestBatchedLp:
+    """p = 1: all rows' dual LPs run as one simplex stack, each row's bits its own."""
+
+    @staticmethod
+    def assert_batch_invariant(rows, b, monkeypatch, rng):
+        m, d = b.shape
+        per_row = d * (m + 1 + d)  # one dual simplex tableau
+        return TestBatchedIrls.assert_batch_invariant(
+            rows, b, 1, rng, monkeypatch, per_row=per_row
+        )
+
+    def test_full_rank(self, np_rng, monkeypatch):
+        b = random_tall(np_rng, 40, 4, scale_rows=True)
+        rows = np_rng.standard_normal((11, 4))
+        rows[4] = 0.0
+        vals = self.assert_batch_invariant(rows, b, monkeypatch, np_rng)
+        assert vals[4] == 0.0
+        for i in np.delete(np.arange(11), 4):
+            ref_val, _ = min_l1_on_hyperplane_linprog(b, rows[i])
+            assert vals[i] == pytest.approx(1.0 / ref_val, rel=1e-7)
+
+    def test_rank_deficient(self, np_rng, monkeypatch):
+        # a zero column makes one dual constraint redundant for the rows that
+        # avoid it; the rows that use it lie outside the row space
+        b = random_tall(np_rng, 30, 3, scale_rows=True)
+        b[:, 2] = 0.0
+        rows = np_rng.standard_normal((7, 3))
+        rows[[0, 3, 5], 2] = 0.0
+        rows[6] = 0.0
+        vals = self.assert_batch_invariant(rows, b, monkeypatch, np_rng)
+        for i in (0, 3, 5):
+            ref_val, _ = min_l1_on_hyperplane_linprog(b, rows[i])
+            assert vals[i] == pytest.approx(1.0 / ref_val, rel=1e-7)
+        assert np.all(np.isinf(vals[[1, 2, 4]]))
+        assert vals[6] == 0.0
+
+    def test_hyperplane_lp_is_the_one_row_case(self, np_rng):
+        b = random_tall(np_rng, 25, 3, scale_rows=True)
+        rows = np_rng.standard_normal((5, 3))
+        vals = sensitivities_wrt(rows, b, 1)
+        for row, val in zip(rows, vals):
+            sol = min_lp_on_hyperplane(b, row, 1, solver="lp")
+            assert 1.0 / sol.value == val
+            assert sol.iterations > 0 and sol.status == "optimal"
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_one_column_closed_form(self, np_rng, p):
+        b = random_tall(np_rng, 9, 1, scale_rows=True)
+        rows = np_rng.standard_normal((6, 1))
+        rows[2] = 0.0
+        vals = sensitivities_wrt(rows, b, p)
+        assert vals[2] == 0.0
+        for i in (0, 1, 3, 4, 5):
+            assert vals[i] == 1.0 / min_lp_on_hyperplane(b, rows[i], p).value

@@ -23,7 +23,7 @@ from .core import NonConvergenceError, RandomSource, as_matrix
 from .maxsens import max_sensitivity
 from .reduce import leave_one_out_multiregression, regression_via_sensitivity
 from .regress import sensitivities_exact
-from .report import SensitivityReport, _fmt
+from .report import ALPHA_COLUMNS, BENCH_COLUMNS, SensitivityReport, _fmt, csv_lines, records
 from .rowwise import RowwiseConfig, sensitivities_rowwise
 from .total import TotalConfig, total_lewis_oneshot, total_recursive_l1
 
@@ -112,83 +112,72 @@ def _parse_constants(text):
     return out
 
 
-def _take_constants(constants, allowed):
-    unknown = sorted(set(constants) - set(allowed))
-    if unknown:
-        raise CliInputError(
-            f"unknown constants {unknown}; allowed here: {sorted(allowed)}"
-        )
-    return constants
-
-
-def _parse_float_list(text, flag):
+def _parse_list(text, flag, kind):
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        return [kind(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise CliInputError(f"{flag}: expected comma-separated numbers, got {text!r}") from None
+        noun = "integers" if kind is int else "numbers"
+        raise CliInputError(f"{flag}: expected comma-separated {noun}, got {text!r}") from None
 
 
-def _parse_int_list(text, flag):
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise CliInputError(f"{flag}: expected comma-separated integers, got {text!r}") from None
+_TOTAL_CONSTANTS = ("c_m", "embed_eps", "embed_constant", "r_constant",
+                    "base_constant", "base_size", "r_override")
+# the hidden constants each subcommand lets --constants override; no other takes the flag
+_CONSTANTS = {
+    "all": ("signs_per_block", "embed_eps", "embed_constant"),
+    "total": _TOTAL_CONSTANTS,
+    "max": ("embed_eps", "embed_constant"),
+    "bench": _TOTAL_CONSTANTS,
+}
+# the subcommands whose estimates --exact scores against the brute-force oracle
+_SCORED = ("all", "total", "max")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lpsens", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--input", required=True, help="CSV matrix file")
         p.add_argument("--p", type=float, default=1.0, help="norm exponent (>= 1)")
         p.add_argument("--seed", type=int, default=0, help="random seed")
         p.add_argument("--out", default=None, help="write report to .json or .csv")
-        p.add_argument("--exact", action="store_true",
-                       help="also run the brute-force oracle and report log-ratio metrics")
-        p.add_argument("--constants", default="",
-                       help="override hidden constants, e.g. c_m=5,embed_eps=0.25")
+        if name in _SCORED:
+            p.add_argument("--exact", action="store_true",
+                           help="also run the brute-force oracle and report log-ratio metrics")
+        if name in _CONSTANTS:
+            p.add_argument("--constants", default="",
+                           help="override hidden constants, e.g. c_m=5,embed_eps=0.25")
+        p.set_defaults(exact=False, constants="")
+        return p
 
-    p_all = sub.add_parser("all", help="estimate every row's sensitivity")
-    common(p_all)
+    def total_options(p):
+        p.add_argument("--gamma", type=float, default=0.2, help="accuracy parameter")
+        p.add_argument("--method", choices=("lewis_oneshot", "recursive_l1"),
+                       default="lewis_oneshot")
+
+    p_all = command("all", "estimate every row's sensitivity")
     p_all.add_argument("--alpha", type=int, default=10, help="rows per block")
     p_all.add_argument("--repetitions", type=int, default=9, help="odd median repetitions")
     p_all.add_argument("--alpha-list", default=None,
                        help="sweep alphas and emit the log-ratio series (needs --exact)")
 
-    p_total = sub.add_parser("total", help="estimate the total sensitivity")
-    common(p_total)
-    p_total.add_argument("--gamma", type=float, default=0.2, help="accuracy parameter")
-    p_total.add_argument("--method", choices=("lewis_oneshot", "recursive_l1"),
-                         default="lewis_oneshot")
+    total_options(command("total", "estimate the total sensitivity"))
+    command("max", "estimate the maximum sensitivity")
+    command("exact", "brute-force sensitivities")
 
-    p_max = sub.add_parser("max", help="estimate the maximum sensitivity")
-    common(p_max)
-
-    p_exact = sub.add_parser("exact", help="brute-force sensitivities")
-    common(p_exact)
-
-    p_reduce = sub.add_parser("reduce", help="regression via sensitivity reductions")
-    common(p_reduce)
+    p_reduce = command("reduce", "regression via sensitivity reductions")
     p_reduce.add_argument("--mode", choices=("regression", "leave-one-out"),
                           default="regression")
     p_reduce.add_argument("--lam", type=float, default=None,
                           help="anchor scale (default: derived from the matrix)")
 
-    p_bench = sub.add_parser("bench", help="brute vs approximate totals over a p list")
-    common(p_bench)
+    p_bench = command("bench", "brute vs approximate totals over a p list")
     p_bench.add_argument("--p-list", default="1,2",
                          help="comma-separated p values to sweep")
-    p_bench.add_argument("--gamma", type=float, default=0.2)
-    p_bench.add_argument("--method", choices=("lewis_oneshot", "recursive_l1"),
-                         default="lewis_oneshot")
+    total_options(p_bench)
     return parser
-
-
-_ROWWISE_CONSTANTS = ("signs_per_block", "embed_eps", "embed_constant")
-_TOTAL_CONSTANTS = ("c_m", "embed_eps", "embed_constant", "r_constant",
-                    "base_constant", "base_size", "r_override")
-_MAX_CONSTANTS = ("embed_eps", "embed_constant")
 
 
 def _log_ratio_metrics(estimates, oracle):
@@ -205,30 +194,65 @@ def _log_ratio_metrics(estimates, oracle):
     }, skipped
 
 
-def _run_all(args, a, constants):
-    consts = _take_constants(constants, _ROWWISE_CONSTANTS)
-    report = _blank_report(args, a, method="rowwise")
-    report.config.update({"alpha": args.alpha, "repetitions": args.repetitions, **consts})
+def _timed(fn, *args, **kwargs):
+    """Call fn and return its result together with the wall-clock seconds it took."""
+    t0 = time.perf_counter()
+    out = fn(*args, **kwargs)
+    return out, time.perf_counter() - t0
 
-    oracle = None
-    if args.exact:
-        t0 = time.perf_counter()
-        oracle = sensitivities_exact(a, args.p).values
-        report.timings["oracle_s"] = time.perf_counter() - t0
+
+def _exact_values(a, p):
+    return sensitivities_exact(a, p).values
+
+
+def _estimate_total(a, p, args, consts, rng):
+    """The total estimate that --method names, at exponent p."""
+    cfg = TotalConfig(p=p, gamma=args.gamma, method=args.method, **consts)
+    estimator = total_recursive_l1 if cfg.method == "recursive_l1" else total_lewis_oneshot
+    return estimator(a, cfg, rng)
+
+
+def _set_per_row(report, vals):
+    report.per_row = [float(v) for v in vals]
+    report.total = float(vals.sum())
+    report.max_value = float(vals.max())
+
+
+def _score(command, report, oracle):
+    """Store the oracle beside what the run estimated and score the estimate against it."""
+    if command == "all":
         report.oracle_per_row = [float(v) for v in oracle]
         report.oracle_total = float(oracle.sum())
         report.oracle_max = float(oracle.max())
+        if report.per_row is None:  # an --alpha-list run: its series holds the scores
+            return
+        report.metrics, skipped = _log_ratio_metrics(report.per_row, oracle)
+        if skipped:
+            report.notes.append(f"log_ratio_rows_skipped={skipped}")
+    elif command == "total":
+        report.oracle_total = float(oracle.sum())
+        report.metrics, _ = _log_ratio_metrics([report.total], [report.oracle_total])
+    else:
+        report.oracle_max = float(oracle.max())
+        report.metrics, _ = _log_ratio_metrics([report.max_value], [report.oracle_max])
+
+
+def _run_all(args, a, consts, oracle):
+    report = _blank_report(args, a, method="rowwise")
+    report.config.update({"alpha": args.alpha, "repetitions": args.repetitions, **consts})
+
+    def rowwise(alpha, rng):
+        cfg = RowwiseConfig(p=args.p, alpha=alpha, repetitions=args.repetitions, **consts)
+        return sensitivities_rowwise(a, cfg, rng)
 
     if args.alpha_list is not None:
         if oracle is None:
             raise CliInputError("--alpha-list needs --exact for the log-ratio series")
-        alphas = _parse_int_list(args.alpha_list, "--alpha-list")
+        alphas = _parse_list(args.alpha_list, "--alpha-list", int)
         series = []
         t0 = time.perf_counter()
         for alpha in alphas:
-            cfg = RowwiseConfig(p=args.p, alpha=alpha,
-                                repetitions=args.repetitions, **consts)
-            res = sensitivities_rowwise(a, cfg, RandomSource(args.seed).child("alpha", alpha))
+            res = rowwise(alpha, RandomSource(args.seed).child("alpha", alpha))
             metrics, _ = _log_ratio_metrics(res.estimates.values, oracle)
             if metrics is None:
                 raise CliInputError("log-ratio series undefined: no comparable rows")
@@ -237,85 +261,44 @@ def _run_all(args, a, constants):
         report.alpha_series = series
         return report
 
-    cfg = RowwiseConfig(p=args.p, alpha=args.alpha,
-                        repetitions=args.repetitions, **consts)
-    t0 = time.perf_counter()
-    res = sensitivities_rowwise(a, cfg, RandomSource(args.seed))
-    report.timings["estimate_s"] = time.perf_counter() - t0
-    vals = res.estimates.values
-    report.per_row = [float(v) for v in vals]
-    report.total = float(vals.sum())
-    report.max_value = float(vals.max())
+    res, report.timings["estimate_s"] = _timed(rowwise, args.alpha, RandomSource(args.seed))
+    _set_per_row(report, res.estimates.values)
     report.notes.append(f"oracle_calls={res.oracle_calls}")
     report.notes.append(f"embedded_rows={res.embedded_rows}")
-    if oracle is not None:
-        metrics, skipped = _log_ratio_metrics(vals, oracle)
-        report.metrics = metrics
-        if skipped:
-            report.notes.append(f"log_ratio_rows_skipped={skipped}")
     return report
 
 
-def _run_total(args, a, constants):
-    consts = _take_constants(constants, _TOTAL_CONSTANTS)
+def _run_total(args, a, consts, oracle):
     report = _blank_report(args, a, method=args.method)
     report.config.update({"gamma": args.gamma, **consts})
-    int_keys = {"base_size", "r_override"}
-    kwargs = {k: (int(v) if k in int_keys else v) for k, v in consts.items()}
-    cfg = TotalConfig(p=args.p, gamma=args.gamma, method=args.method, **kwargs)
-    t0 = time.perf_counter()
-    if args.method == "recursive_l1":
-        est = total_recursive_l1(a, cfg, RandomSource(args.seed))
-    else:
-        est = total_lewis_oneshot(a, cfg, RandomSource(args.seed))
-    report.timings["estimate_s"] = time.perf_counter() - t0
-    report.total = est
-    if args.exact:
-        t0 = time.perf_counter()
-        oracle = sensitivities_exact(a, args.p).values
-        report.timings["oracle_s"] = time.perf_counter() - t0
-        report.oracle_total = float(oracle.sum())
-        metrics, _ = _log_ratio_metrics([est], [report.oracle_total])
-        report.metrics = metrics
+    report.total, report.timings["estimate_s"] = _timed(
+        _estimate_total, a, args.p, args, consts, RandomSource(args.seed)
+    )
     return report
 
 
-def _run_max(args, a, constants):
-    consts = _take_constants(constants, _MAX_CONSTANTS)
+def _run_max(args, a, consts, oracle):
     report = _blank_report(args, a, method="spanner" if args.p != 2 else "exact_leverage")
     report.config.update(consts)
-    t0 = time.perf_counter()
-    res = max_sensitivity(a, args.p, RandomSource(args.seed), **consts)
-    report.timings["estimate_s"] = time.perf_counter() - t0
+    res, report.timings["estimate_s"] = _timed(
+        max_sensitivity, a, args.p, RandomSource(args.seed), **consts
+    )
     report.max_value = res.estimate
     report.notes.append(f"raw_max={_fmt(res.raw_max)}")
     report.notes.append(f"distortion_multiplier={_fmt(res.distortion_multiplier)}")
     if res.spanner_rows:
         report.notes.append("spanner_rows=" + ",".join(str(i) for i in res.spanner_rows))
-    if args.exact:
-        t0 = time.perf_counter()
-        oracle = sensitivities_exact(a, args.p).values
-        report.timings["oracle_s"] = time.perf_counter() - t0
-        report.oracle_max = float(oracle.max())
-        metrics, _ = _log_ratio_metrics([res.estimate], [report.oracle_max])
-        report.metrics = metrics
     return report
 
 
-def _run_exact(args, a, constants):
-    _take_constants(constants, ())
+def _run_exact(args, a, consts, oracle):
     report = _blank_report(args, a, method="brute_force")
-    t0 = time.perf_counter()
-    vals = sensitivities_exact(a, args.p).values
-    report.timings["estimate_s"] = time.perf_counter() - t0
-    report.per_row = [float(v) for v in vals]
-    report.total = float(vals.sum())
-    report.max_value = float(vals.max())
+    vals, report.timings["estimate_s"] = _timed(_exact_values, a, args.p)
+    _set_per_row(report, vals)
     return report
 
 
-def _run_reduce(args, a, constants):
-    _take_constants(constants, ())
+def _run_reduce(args, a, consts, oracle):
     report = _blank_report(args, a, method=args.mode)
     if args.lam is not None:
         report.config["lam"] = args.lam
@@ -341,33 +324,21 @@ def _run_reduce(args, a, constants):
     return report
 
 
-def _run_bench(args, a, constants):
-    consts = _take_constants(constants, _TOTAL_CONSTANTS)
+def _run_bench(args, a, consts, oracle):
     report = _blank_report(args, a, method=args.method)
     report.config.update({"gamma": args.gamma, **consts})
-    p_list = _parse_float_list(args.p_list, "--p-list")
+    p_list = _parse_list(args.p_list, "--p-list", float)
     if not p_list:
         raise CliInputError("--p-list is empty")
-    int_keys = {"base_size", "r_override"}
-    kwargs = {k: (int(v) if k in int_keys else v) for k, v in consts.items()}
-    d = a.shape[1]
     table = []
     for p in p_list:
-        cfg = TotalConfig(p=p, gamma=args.gamma, method=args.method, **kwargs)
-        t0 = time.perf_counter()
-        brute = float(sensitivities_exact(a, p).values.sum())
-        t_brute = time.perf_counter() - t0
         rng = RandomSource(args.seed).child("bench", str(p))
-        t0 = time.perf_counter()
-        if args.method == "recursive_l1":
-            approx = total_recursive_l1(a, cfg, rng)
-        else:
-            approx = total_lewis_oneshot(a, cfg, rng)
-        t_approx = time.perf_counter() - t0
+        approx, t_approx = _timed(_estimate_total, a, p, args, consts, rng)
+        brute, t_brute = _timed(_exact_values, a, p)
         table.append({
             "p": p,
-            "total_upper_bound": float(d ** max(1.0, p / 2.0)),
-            "brute_force": brute,
+            "total_upper_bound": float(a.shape[1] ** max(1.0, p / 2.0)),
+            "brute_force": float(brute.sum()),
             "approximation": approx,
             "brute_runtime_s": t_brute,
             "approx_runtime_s": t_approx,
@@ -386,10 +357,6 @@ def _blank_report(args, a, method) -> SensitivityReport:
         seed=int(args.seed),
         config={"seed": int(args.seed)},
     )
-
-
-_BENCH_COLS = ("p", "total_upper_bound", "brute_force", "approximation",
-               "brute_runtime_s", "approx_runtime_s")
 
 
 def _print_report(report: SensitivityReport) -> None:
@@ -414,14 +381,11 @@ def _print_report(report: SensitivityReport) -> None:
     if report.metrics:
         print("metrics: " + " ".join(f"{k}={_fmt(v)}" for k, v in sorted(report.metrics.items())))
     if report.alpha_series is not None:
-        print("alpha,mean_abs_log_ratio,max_abs_log_ratio")
-        for row in report.alpha_series:
-            print(f"{row['alpha']},{_fmt(row['mean_abs_log_ratio'])},{_fmt(row['max_abs_log_ratio'])}")
+        print("\n".join(csv_lines(ALPHA_COLUMNS, records(report.alpha_series, ALPHA_COLUMNS))))
     if report.bench_table is not None:
-        deterministic = [c for c in _BENCH_COLS if not c.endswith("_s")]
-        print("bench: " + ",".join(deterministic))
-        for row in report.bench_table:
-            print("bench: " + ",".join(_fmt(row[c]) for c in deterministic))
+        deterministic = [c for c in BENCH_COLUMNS if not c.endswith("_s")]
+        for line in csv_lines(deterministic, records(report.bench_table, deterministic)):
+            print("bench: " + line)
         for row in report.bench_table:
             print(f"time_bench_p={_fmt(row['p'])}: brute={_fmt(row['brute_runtime_s'])}"
                   f" approx={_fmt(row['approx_runtime_s'])}")
@@ -448,11 +412,22 @@ def main(argv=None) -> int:
         if not args.p >= 1:
             raise CliInputError(f"--p must be >= 1, got {args.p}")
         constants = _parse_constants(args.constants)
+        if args.out and not args.out.endswith((".json", ".csv")):
+            raise CliInputError("--out must end in .json or .csv")
         a = as_matrix(load_csv(args.input))
-        report = _RUNNERS[args.command](args, a, constants)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        allowed = _CONSTANTS.get(args.command, ())
+        unknown = sorted(set(constants) - set(allowed))
+        if unknown:
+            raise CliInputError(
+                f"unknown constants {unknown}; allowed here: {sorted(allowed)}"
+            )
+        oracle = None
+        if args.exact:
+            oracle, oracle_s = _timed(_exact_values, a, args.p)
+        report = _RUNNERS[args.command](args, a, constants, oracle)
+        if oracle is not None:
+            report.timings["oracle_s"] = oracle_s
+            _score(args.command, report, oracle)
     except NonConvergenceError as exc:
         print(f"solver failed to converge: {exc}", file=sys.stderr)
         return 2
@@ -461,13 +436,7 @@ def main(argv=None) -> int:
         return 1
     _print_report(report)
     if args.out:
-        if args.out.endswith(".json"):
-            text = report.to_json()
-        elif args.out.endswith(".csv"):
-            text = report.to_csv()
-        else:
-            print("error: --out must end in .json or .csv", file=sys.stderr)
-            return 1
+        text = report.to_json() if args.out.endswith(".json") else report.to_csv()
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     return 0

@@ -57,24 +57,23 @@ def lewis_weights(a, cfg: LewisConfig) -> WeightVector:
     final residual attached.
     """
     a = require_tall_full_rank(a)
-    n, d = a.shape
+    d = a.shape[1]
     # zero rows have weight exactly 0 and would pin the residual at the
     # clamping floor forever; solve the fixed point on the live block only
     live = np.linalg.norm(a, axis=1) > 0.0
-    if not live.all():
-        inner = lewis_weights(a[live], cfg)
-        w = np.zeros(n)
-        w[live] = inner.values
-        return WeightVector(values=w, kind="lewis", p=float(cfg.p))
+    block = a[live]
+    n = block.shape[0]
     expo = 0.5 - 1.0 / cfg.p
     beta = cfg.beta
     w = np.full(n, d / n)
     residual = np.inf
     for _ in range(cfg.max_iters):
-        tau = _scaled_leverage(a, w, expo)
+        tau = _scaled_leverage(block, w, expo)
         residual = float(np.max(np.abs(w - tau) / np.maximum(w, _FLOOR)))
         if residual <= cfg.tol:
-            return WeightVector(values=w, kind="lewis", p=float(cfg.p))
+            weights = np.zeros(a.shape[0])
+            weights[live] = w
+            return WeightVector(values=weights, kind="lewis", p=float(cfg.p))
         w = np.exp(
             (1.0 - beta) * np.log(np.maximum(w, _FLOOR))
             + beta * np.log(np.maximum(tau, _FLOOR))

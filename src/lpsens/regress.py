@@ -278,8 +278,8 @@ def min_lp_on_hyperplane(B, a, p, solver: str = "auto") -> RegressionSolution:
     a = as_vector(a)
     if B.shape[1] != a.shape[0]:
         raise ValueError(f"shape mismatch: B has {B.shape[1]} columns, a has {a.shape[0]}")
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
     if np.all(a == 0.0):
         raise ValueError("hyperplane row a must be nonzero")
 
@@ -328,8 +328,8 @@ def sensitivities_wrt(M, B, p) -> np.ndarray:
     B = as_matrix(B)
     if M.shape[1] != B.shape[1]:
         raise ValueError(f"shape mismatch: B has {B.shape[1]} columns, M has {M.shape[1]}")
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
     if p == 2:
         G = pseudoinverse_gram(B)
         vals = np.einsum("ij,jk,ik->i", M, G, M)

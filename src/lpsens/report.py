@@ -45,49 +45,36 @@ class SensitivityReport:
     def to_csv(self) -> str:
         """Flatten the most specific populated section to CSV text."""
         if self.bench_table is not None:
-            cols = [
-                "p",
-                "total_upper_bound",
-                "brute_force",
-                "approximation",
-                "brute_runtime_s",
-                "approx_runtime_s",
-            ]
-            lines = [",".join(cols)]
-            for row in self.bench_table:
-                lines.append(",".join(_fmt(row[c]) for c in cols))
-            return "\n".join(lines) + "\n"
-        if self.alpha_series is not None:
-            cols = ["alpha", "mean_abs_log_ratio", "max_abs_log_ratio"]
-            lines = [",".join(cols)]
-            for row in self.alpha_series:
-                lines.append(",".join(_fmt(row[c]) for c in cols))
-            return "\n".join(lines) + "\n"
-        if self.per_row is not None:
-            has_oracle = self.oracle_per_row is not None
-            header = "row,estimate" + (",oracle" if has_oracle else "")
-            lines = [header]
-            for i, v in enumerate(self.per_row):
-                line = f"{i},{_fmt(v)}"
-                if has_oracle:
-                    line += f",{_fmt(self.oracle_per_row[i])}"
-                lines.append(line)
-            return "\n".join(lines) + "\n"
-        if self.values is not None:
-            lines = ["index,value"]
-            for i, v in enumerate(self.values):
-                lines.append(f"{i},{_fmt(v)}")
-            return "\n".join(lines) + "\n"
-        lines = ["field,value"]
-        if self.total is not None:
-            lines.append(f"total,{_fmt(self.total)}")
-        if self.max_value is not None:
-            lines.append(f"max,{_fmt(self.max_value)}")
-        if self.oracle_total is not None:
-            lines.append(f"oracle_total,{_fmt(self.oracle_total)}")
-        if self.oracle_max is not None:
-            lines.append(f"oracle_max,{_fmt(self.oracle_max)}")
+            lines = csv_lines(BENCH_COLUMNS, records(self.bench_table, BENCH_COLUMNS))
+        elif self.alpha_series is not None:
+            lines = csv_lines(ALPHA_COLUMNS, records(self.alpha_series, ALPHA_COLUMNS))
+        elif self.per_row is not None and self.oracle_per_row is None:
+            lines = csv_lines(("row", "estimate"), enumerate(self.per_row))
+        elif self.per_row is not None:
+            lines = csv_lines(("row", "estimate", "oracle"),
+                              zip(range(len(self.per_row)), self.per_row, self.oracle_per_row))
+        elif self.values is not None:
+            lines = csv_lines(("index", "value"), enumerate(self.values))
+        else:
+            summary = (("total", self.total), ("max", self.max_value),
+                       ("oracle_total", self.oracle_total), ("oracle_max", self.oracle_max))
+            lines = csv_lines(("field", "value"), [f for f in summary if f[1] is not None])
         return "\n".join(lines) + "\n"
+
+
+ALPHA_COLUMNS = ("alpha", "mean_abs_log_ratio", "max_abs_log_ratio")
+BENCH_COLUMNS = ("p", "total_upper_bound", "brute_force", "approximation",
+                 "brute_runtime_s", "approx_runtime_s")
+
+
+def records(table, columns):
+    """The given columns of each dict in a report table, in column order."""
+    return ([row[c] for c in columns] for row in table)
+
+
+def csv_lines(header, rows):
+    """A header line, then one comma-joined line of formatted values per row."""
+    return [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
 
 
 def _fmt(v) -> str:

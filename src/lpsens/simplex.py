@@ -36,7 +36,6 @@ class LPResult:
     value: float
     duals: np.ndarray
     pivots: int
-    basic_structural: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -267,11 +266,9 @@ def solve_lp(c, A, b, upper=None, *, tol=1e-9, max_pivots=500_000) -> LPResult:
     """Two-phase bounded-variable simplex; returns primal x and row duals."""
     A = np.asarray(A, dtype=np.float64)
     res = solve_lp_stack(c, A[None], b, upper, tol=tol, max_pivots=max_pivots)
-    basis = res.basis[0]
     return LPResult(
         x=res.x[0],
         value=float(res.value[0]),
         duals=res.duals[0],
         pivots=int(res.pivots[0]),
-        basic_structural=np.sort(basis[basis < A.shape[1]]),
     )

@@ -159,21 +159,18 @@ def _bucket_index(tau: np.ndarray, n_buckets: int) -> np.ndarray:
     return np.clip(k, 1, n_buckets).astype(np.intp)
 
 
+@dataclass(frozen=True)
 class _RecursiveState:
-    def __init__(self, sa, spa, rho, delta, r_constant, r_override, base_size,
-                 depth_cap, bucket_count, p):
-        self.sa = sa
-        self.spa = spa
-        self.rho = rho
-        self.delta = delta
-        self.r_constant = r_constant
-        self.r_override = r_override
-        self.base_size = base_size
-        self.depth_cap = depth_cap
-        self.bucket_count = bucket_count
-        self.p = p
-        self.oracle_calls = 0
-        self.max_depth_seen = 0
+    sa: np.ndarray
+    spa: np.ndarray
+    rho: float
+    delta: float
+    r_constant: float
+    r_override: int | None
+    base_size: int
+    depth_cap: int
+    bucket_count: int
+    p: float
 
     def sample_size(self, n_node: int) -> int:
         if self.r_override is not None:
@@ -194,11 +191,8 @@ def _recurse(m_rows: np.ndarray, depth: int, rng: RandomSource, st: _RecursiveSt
             "internal error: sensitivity recursion exceeded its depth cap "
             f"({st.depth_cap}); buckets are not shrinking"
         )
-    st.max_depth_seen = max(st.max_depth_seen, depth)
     if m_rows.shape[0] <= st.base_size:
-        vals = sensitivities_wrt(m_rows, st.spa, st.p)
-        st.oracle_calls += m_rows.shape[0]
-        return float(vals.sum())
+        return float(sensitivities_wrt(m_rows, st.spa, st.p).sum())
 
     c = np.vstack([m_rows, st.sa])
     tau = leverage_exact(c).values[: m_rows.shape[0]]

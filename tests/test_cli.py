@@ -176,6 +176,44 @@ class TestSubcommands:
         assert float(row3[1]) == pytest.approx(3.0 ** 1.5)  # d^1.5
 
 
+_FIELDS = ("per_row", "total", "max_value", "oracle_per_row", "oracle_total",
+           "oracle_max", "metrics", "alpha_series", "bench_table", "values")
+_ROWWISE = ["--alpha", "6", "--repetitions", "3", "--constants", "signs_per_block=4"]
+
+
+class TestReportFields:
+    """Which report fields, notes and timings each run with --exact fills."""
+
+    @pytest.mark.parametrize("argv, filled, notes", [
+        (["all", "--p", "1.5"] + _ROWWISE,
+         {"per_row", "total", "max_value", "oracle_per_row", "oracle_total", "oracle_max",
+          "metrics"},
+         ["oracle_calls", "embedded_rows"]),
+        (["all", "--p", "1", "--alpha-list", "3,6"] + _ROWWISE,
+         {"oracle_per_row", "oracle_total", "oracle_max", "alpha_series"},
+         []),
+        (["total", "--p", "1.5", "--gamma", "0.3"],
+         {"total", "oracle_total", "metrics"},
+         []),
+        (["total", "--p", "1", "--gamma", "0.3", "--method", "recursive_l1"],
+         {"total", "oracle_total", "metrics"},
+         []),
+        (["max", "--p", "3"],
+         {"max_value", "oracle_max", "metrics"},
+         ["raw_max", "distortion_multiplier", "spanner_rows"]),
+    ], ids=["all", "all-alpha-list", "total", "total-recursive", "max"])
+    def test_exact_run_fills_exactly(self, rand_csv, tmp_path, capsys, argv, filled, notes):
+        out = tmp_path / "r.json"
+        assert main(argv + ["--input", rand_csv, "--seed", "4", "--exact",
+                            "--out", str(out)]) == 0
+        rep = SensitivityReport.from_json(out.read_text())
+        assert {f for f in _FIELDS if getattr(rep, f) is not None} == filled
+        assert [note.split("=")[0] for note in rep.notes] == notes
+        assert set(rep.timings) == {"estimate_s", "oracle_s"}
+        if rep.metrics is not None:
+            assert set(rep.metrics) == {"mean_abs_log_ratio", "max_abs_log_ratio"}
+
+
 class TestDeterminism:
     def test_rowwise_run_reproduces_bit_exactly(self, rand_csv, tmp_path, capsys):
         args = ["all", "--input", rand_csv, "--p", "1", "--alpha", "6",
@@ -218,8 +256,15 @@ class TestExitCodes:
         assert main(["total", "--input", rand_csv, "--constants", "nope=3"]) == 1
         assert "unknown constants" in capsys.readouterr().err
 
-    def test_bad_out_extension(self, rand_csv, capsys):
+    def test_bad_out_extension(self, rand_csv, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the oracle ran before --out was checked")
+
+        monkeypatch.setattr(cli, "sensitivities_exact", never)
         assert main(["exact", "--input", rand_csv, "--out", "r.txt"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--out must end in .json or .csv" in captured.err
 
     def test_nonconvergence_exit_two(self, rand_csv, capsys, monkeypatch):
         def boom(*args, **kwargs):
@@ -231,6 +276,16 @@ class TestExitCodes:
 
     def test_p_below_one_rejected(self, rand_csv, capsys):
         assert main(["exact", "--input", rand_csv, "--p", "0.5"]) == 1
+
+    def test_non_finite_p_rejected(self, rand_csv, capsys):
+        assert main(["exact", "--input", rand_csv, "--p", "inf"]) == 1
+        assert "p must be finite" in capsys.readouterr().err
+
+    def test_flags_the_subcommand_ignores_are_rejected(self, rand_csv, capsys):
+        assert main(["exact", "--input", rand_csv, "--exact"]) == 1
+        assert "unrecognized arguments: --exact" in capsys.readouterr().err
+        assert main(["reduce", "--input", rand_csv, "--constants", "c_m=1"]) == 1
+        assert "unrecognized arguments: --constants" in capsys.readouterr().err
 
     def test_rank_deficient_input_rejected(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "flat.csv", [[1.0, 2.0]] * 5)

@@ -87,6 +87,8 @@ class TestFixedPoint:
         w = lewis_weights(a, LewisConfig(p=1)).values
         assert w[2] == 0.0 and w[3] == 0.0
         assert w.sum() == pytest.approx(2.0, abs=1e-5)
+        live = np.array([True, True, False, False, True])
+        np.testing.assert_array_equal(w[live], lewis_weights(a[live], LewisConfig(p=1)).values)
 
     def test_heavy_tailed_rows_converge(self, np_rng):
         a = random_tall(np_rng, 177, 14, scale_rows=True)

@@ -54,8 +54,9 @@ class TestRegressionReduction:
         b = np_rng.standard_normal(10)
         with pytest.raises(ValueError):
             regression_via_sensitivity(a, b[:5], 1)
-        with pytest.raises(ValueError):
-            regression_via_sensitivity(a, b, 0.5)
+        for p in (0.5, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                regression_via_sensitivity(a, b, p)
         with pytest.raises(ValueError):
             regression_via_sensitivity(a, b, 1, lam=0.0)
 

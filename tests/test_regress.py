@@ -66,6 +66,14 @@ class TestHyperplaneMinimization:
         with pytest.raises(ValueError):
             min_lp_on_hyperplane(b, np.ones(2), 1, solver="magic")
 
+    @pytest.mark.parametrize("p", [0.5, np.inf, np.nan])
+    def test_p_below_one_or_non_finite_rejected(self, np_rng, p):
+        b = random_tall(np_rng, 10, 2)
+        with pytest.raises(ValueError, match="p must be finite and >= 1"):
+            min_lp_on_hyperplane(b, np.ones(2), p)
+        with pytest.raises(ValueError, match="p must be finite and >= 1"):
+            sensitivities_wrt(b[:3], b, p)
+
 
 class TestSensitivities:
     def test_grid_oracle_d2(self, np_rng):

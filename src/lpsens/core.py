@@ -126,18 +126,27 @@ def matrix_rank(a, tol: float = RANK_TOL) -> int:
     return pivoted_qr(a, tol=tol).rank
 
 
-def require_tall_full_rank(a, tol: float = RANK_TOL) -> np.ndarray:
-    """Entry gate for the estimators: n >= d and full column rank."""
+def tall_full_rank_basis(a, tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Entry gate for the estimators: n >= d and full column rank.
+
+    Returns the validated matrix and the q factor of the pivoted QR that
+    decided its rank, an orthonormal basis of its column space.
+    """
     a = as_matrix(a)
     n, d = a.shape
     if n < d:
         raise RankDeficientError(f"matrix must be tall, got shape ({n}, {d})")
-    rank = matrix_rank(a, tol=tol)
-    if rank < d:
+    qr = pivoted_qr(a, tol=tol)
+    if qr.rank < d:
         raise RankDeficientError(
-            f"matrix has column rank {rank} < {d}; estimators need full column rank"
+            f"matrix has column rank {qr.rank} < {d}; estimators need full column rank"
         )
-    return a
+    return a, qr.q
+
+
+def require_tall_full_rank(a, tol: float = RANK_TOL) -> np.ndarray:
+    """``tall_full_rank_basis`` without the basis."""
+    return tall_full_rank_basis(a, tol=tol)[0]
 
 
 def pseudoinverse_gram(a, tol: float = RANK_TOL) -> np.ndarray:

@@ -53,14 +53,12 @@ class TotalConfig:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
 
 
-def bounded_ratio_mean(values, ratio_bound, gamma, delta, rng: RandomSource, count=None):
-    """Estimate the sum of nonneg values whose max/min ratio is bounded.
+def bounded_ratio_mean(values, ratio_bound, gamma, delta, rng: RandomSource):
+    """Estimate the sum of positive values whose max/min ratio is bounded.
 
     Draws ceil(10 * ratio_bound * (1 + gamma) / gamma^2 * ln(1/delta))
     uniform indices with replacement and rescales: within a factor
     (1 +- gamma) of the true sum with probability at least 1 - delta.
-    ``values`` is an array or a callable index -> value (then ``count``
-    gives the index range).
     """
     if not ratio_bound >= 1:
         raise ValueError("ratio_bound must be at least 1")
@@ -68,26 +66,14 @@ def bounded_ratio_mean(values, ratio_bound, gamma, delta, rng: RandomSource, cou
         raise ValueError("gamma must lie in (0, 1)")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if callable(values):
-        if count is None:
-            raise ValueError("count is required when values is a callable")
-        fetch = values
-        m_items = int(count)
-    else:
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("values must be a nonempty 1-D array")
-        if not np.all(arr > 0):
-            raise ValueError("values must all be positive")
-        fetch = None
-        m_items = arr.size
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("values must be a nonempty 1-D array")
+    if not np.all(arr > 0):
+        raise ValueError("values must all be positive")
     size = int(math.ceil(10.0 * ratio_bound * (1.0 + gamma) / (gamma * gamma) * math.log(1.0 / delta)))
-    idx = rng.generator().integers(0, m_items, size=size)
-    if fetch is None:
-        picked = arr[idx]
-    else:
-        picked = np.array([fetch(int(i)) for i in idx], dtype=np.float64)
-    return float(m_items / size * picked.sum())
+    idx = rng.generator().integers(0, arr.size, size=size)
+    return float(arr.size / size * arr[idx].sum())
 
 
 class OneShotTotal:

@@ -34,10 +34,25 @@ class TestFixedPoint:
         )
 
     def test_defining_equation_holds_at_return(self, np_rng):
-        for p in (1.0, 1.5, 2.5, 3.0, 5.0):
+        ps = (1.0, 1.5, 2.5, 3.0, 5.0)
+        for p in ps:
             a = random_tall(np_rng, 35, 4)
             w = lewis_weights(a, LewisConfig(p=p)).values
             tau = leverage_svd_oracle(a * np.maximum(w, 1e-12)[:, None] ** (0.5 - 1.0 / p))
+            residual = np.max(np.abs(w - tau) / np.maximum(w, 1e-12))
+            assert residual <= 1e-6
+        # column scales 1 ... 1e-7, mixed by a rotation, give cond(A) ~ 1e7: a
+        # Cholesky of the scaled A^T A itself (cond ~ 1e14) cannot converge here.
+        # Scores are judged on the left singular vectors of A (same scores, same
+        # column space): an SVD of the scaled A itself errs by ~5e-6 relative
+        # on its ~1e-11 scores at p = 5
+        for p in ps:
+            rot = np.linalg.qr(np_rng.standard_normal((4, 4)))[0]
+            a = random_tall(np_rng, 35, 4, scale_rows=True) * np.logspace(0, -7, 4) @ rot
+            assert np.linalg.cond(a) > 1e6
+            w = lewis_weights(a, LewisConfig(p=p)).values
+            u = np.linalg.svd(a, full_matrices=False)[0]
+            tau = leverage_svd_oracle(u * np.maximum(w, 1e-12)[:, None] ** (0.5 - 1.0 / p))
             residual = np.max(np.abs(w - tau) / np.maximum(w, 1e-12))
             assert residual <= 1e-6
 
@@ -89,6 +104,22 @@ class TestFixedPoint:
         assert w.sum() == pytest.approx(2.0, abs=1e-5)
         live = np.array([True, True, False, False, True])
         np.testing.assert_array_equal(w[live], lewis_weights(a[live], LewisConfig(p=1)).values)
+
+    def test_scores_below_the_floor_do_not_pin_the_residual(self):
+        # rows scaled by 10^U(-3, 3) (p >= 3) or 10^U(-6, 6) (every p) get
+        # scores under the 1e-12 floor while their weights sit clamped at it
+        g = np.random.default_rng(3000)
+        for spread in (3.0, 6.0):
+            a = g.standard_normal((3000, 6)) * 10.0 ** g.uniform(-spread, spread, 3000)[:, None]
+            for p in (1.0, 1.5, 3.0, 5.0):
+                w = lewis_weights(a, LewisConfig(p=p)).values
+                assert np.all(w >= 1e-12) and w.sum() == pytest.approx(6.0, abs=1e-4)
+                tau = leverage_svd_oracle(a * w[:, None] ** (0.5 - 1.0 / p))
+                if spread == 6.0 or p >= 3.0:
+                    assert np.any(tau < 1e-12)  # the case this test is about arises
+                # the oracle's SVD of a matrix with row norms 1e12 apart is itself
+                # off by up to ~1e-5 relative on its smallest scores
+                np.testing.assert_allclose(np.maximum(tau, 1e-12), w, rtol=1e-4)
 
     def test_heavy_tailed_rows_converge(self, np_rng):
         a = random_tall(np_rng, 177, 14, scale_rows=True)

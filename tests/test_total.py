@@ -121,15 +121,6 @@ class TestBoundedRatioMean:
         got = bounded_ratio_mean(vals, 1.0, 0.3, 0.1, RandomSource(0))
         assert got == pytest.approx(vals.sum(), rel=1e-12)
 
-    def test_callable_accessor(self):
-        got = bounded_ratio_mean(lambda i: 2.5, 1.0, 0.3, 0.1, RandomSource(0),
-                                 count=777)
-        assert got == pytest.approx(777 * 2.5, rel=1e-12)
-
-    def test_requires_count_for_callable(self):
-        with pytest.raises(ValueError):
-            bounded_ratio_mean(lambda i: 1.0, 2.0, 0.2, 0.1, RandomSource(0))
-
     def test_rejects_nonpositive_values(self):
         with pytest.raises(ValueError):
             bounded_ratio_mean(np.array([1.0, 0.0]), 2.0, 0.2, 0.1, RandomSource(0))

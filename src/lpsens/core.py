@@ -106,11 +106,11 @@ class QRResult:
     rank: int
 
 
-def pivoted_qr(a, tol: float = RANK_TOL) -> QRResult:
+def pivoted_qr(a) -> QRResult:
     """Column-pivoted thin QR with a relative-tolerance rank decision.
 
     A[:, perm] == q @ r up to rounding; rank counts diagonal entries of r
-    above tol times the largest one.
+    above RANK_TOL times the largest one.
     """
     a = as_matrix(a)
     q, r, perm = scipy.linalg.qr(a, mode="economic", pivoting=True)
@@ -118,15 +118,15 @@ def pivoted_qr(a, tol: float = RANK_TOL) -> QRResult:
     if diag.size == 0 or diag[0] == 0.0:
         rank = 0
     else:
-        rank = int(np.sum(diag > tol * diag[0]))
+        rank = int(np.sum(diag > RANK_TOL * diag[0]))
     return QRResult(q=q, r=r, perm=perm, rank=rank)
 
 
-def matrix_rank(a, tol: float = RANK_TOL) -> int:
-    return pivoted_qr(a, tol=tol).rank
+def matrix_rank(a) -> int:
+    return pivoted_qr(a).rank
 
 
-def tall_full_rank_basis(a, tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+def tall_full_rank_basis(a) -> tuple[np.ndarray, np.ndarray]:
     """Entry gate for the estimators: n >= d and full column rank.
 
     Returns the validated matrix and the q factor of the pivoted QR that
@@ -136,7 +136,7 @@ def tall_full_rank_basis(a, tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarr
     n, d = a.shape
     if n < d:
         raise RankDeficientError(f"matrix must be tall, got shape ({n}, {d})")
-    qr = pivoted_qr(a, tol=tol)
+    qr = pivoted_qr(a)
     if qr.rank < d:
         raise RankDeficientError(
             f"matrix has column rank {qr.rank} < {d}; estimators need full column rank"
@@ -144,12 +144,12 @@ def tall_full_rank_basis(a, tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarr
     return a, qr.q
 
 
-def require_tall_full_rank(a, tol: float = RANK_TOL) -> np.ndarray:
+def require_tall_full_rank(a) -> np.ndarray:
     """``tall_full_rank_basis`` without the basis."""
-    return tall_full_rank_basis(a, tol=tol)[0]
+    return tall_full_rank_basis(a)[0]
 
 
-def pseudoinverse_gram(a, tol: float = RANK_TOL) -> np.ndarray:
+def pseudoinverse_gram(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse of the Gram matrix A^T A.
 
     Built from the SVD of A itself so the small singular values are cut at
@@ -159,7 +159,7 @@ def pseudoinverse_gram(a, tol: float = RANK_TOL) -> np.ndarray:
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((a.shape[1], a.shape[1]))
-    keep = s > tol * s[0]
+    keep = s > RANK_TOL * s[0]
     inv_sq = np.zeros_like(s)
     inv_sq[keep] = 1.0 / s[keep] ** 2
     return (vt.T * inv_sq) @ vt

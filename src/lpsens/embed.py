@@ -97,7 +97,7 @@ def lp_embedding(
     raise NonConvergenceError("sampled embedding kept losing column rank")
 
 
-def linf_embedding(a, swap_tol: float = 1e-9) -> SamplingEmbedding:
+def linf_embedding(a) -> SamplingEmbedding:
     """Select d rows forming a 2-approximate barycentric spanner.
 
     Every row of A is a combination of the selected rows with coefficients
@@ -115,7 +115,7 @@ def linf_embedding(a, swap_tol: float = 1e-9) -> SamplingEmbedding:
     for _ in range(max_swaps):
         coeff = np.linalg.solve(a[basis].T, a.T).T  # row i of A = coeff[i] @ A[basis]
         pos = np.unravel_index(np.argmax(np.abs(coeff)), coeff.shape)
-        if abs(coeff[pos]) <= 2.0 + swap_tol:
+        if abs(coeff[pos]) <= 2.0 + 1e-9:  # slack for rounding in the solve
             return SamplingEmbedding(
                 source_rows=np.sort(basis),
                 scales=np.ones(d),

@@ -1,4 +1,9 @@
-"""Statistical leverage scores, exact and sketched."""
+"""Statistical leverage scores, exact and sketched.
+
+The exact scores come from the same column-pivoted QR and RANK_TOL cut that
+``matrix_rank`` and the estimators' rank gate use, so all three agree on the
+rank of a matrix.
+"""
 
 from __future__ import annotations
 
@@ -7,28 +12,19 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .core import (
-    RANK_TOL,
-    RandomSource,
-    WeightVector,
-    as_matrix,
-    require_tall_full_rank,
-)
+from .core import RandomSource, WeightVector, pivoted_qr, require_tall_full_rank
 
 
 def leverage_exact(a) -> WeightVector:
     """Leverage score of every row: tau_i = a_i @ pinv(A^T A) @ a_i.
 
-    Computed as squared row norms of the left singular block, which keeps the
-    values in [0, 1] and their sum equal to the rank.  Works for any shape
-    and rank.
+    Computed as squared row norms of the first rank columns of q from the
+    pivoted QR that decides the rank everywhere else, which keeps the values
+    in [0, 1] and their sum equal to that rank.  Works for any shape and rank.
     """
-    a = as_matrix(a)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return WeightVector(values=np.zeros(a.shape[0]), kind="leverage", p=2.0)
-    keep = s > RANK_TOL * s[0]
-    vals = np.einsum("ij,ij->i", u[:, keep], u[:, keep])
+    qr = pivoted_qr(a)
+    q = qr.q[:, : qr.rank]
+    vals = np.einsum("ij,ij->i", q, q)
     return WeightVector(values=np.clip(vals, 0.0, 1.0), kind="leverage", p=2.0)
 
 

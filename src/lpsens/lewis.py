@@ -30,7 +30,6 @@ class LewisConfig:
     p: float
     max_iters: int = 200
     tol: float = 1e-6
-    damping: float | None = None  # default p/2 for p < 2, 1.0 for p in [2, 4), 0.5 above
 
     def __post_init__(self):
         if not self.p >= 1:
@@ -39,13 +38,9 @@ class LewisConfig:
             raise ValueError("Lewis weights need finite p")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.damping is not None and not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
 
     @property
     def beta(self) -> float:
-        if self.damping is not None:
-            return self.damping
         # the log-space update contracts by at most |1 - 2b/p| + b|1 - 2/p|;
         # an undamped step (b = 1) oscillates for p < 2, while b = p/2 turns
         # the update into the classic w <- q^(p/2) map with factor 1 - b

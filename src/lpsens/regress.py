@@ -5,9 +5,13 @@ The quantity everything reduces to is
     min ||B x||_p^p   subject to   a @ x = 1,
 
 whose reciprocal is the sensitivity of the row ``a`` with respect to ``B``.
-p = 1 is solved exactly as a linear program; p = 2 and d = 1 have closed
-forms; other p are solved by iteratively reweighted least squares (IRLS) on
-a smoothed objective.
+One private dispatcher, ``_minimize``, solves it for a stack of rows: d = 1
+has a closed form, p = 1 is solved exactly as a linear program, and every
+other p by iteratively reweighted least squares (IRLS) on a smoothed
+objective, whose p = 2 case is its exact least-squares start.
+``min_lp_on_hyperplane`` is its one-row case; ``sensitivities_wrt`` answers
+p = 2 in closed form from the Gram pseudoinverse and sends every other p
+through it.
 
 Both solvers handle all rows of a batch together.  At p = 1 every row's dual
 LP differs from the others only in one column, so the batch is one stack of
@@ -27,7 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, as_vector, pseudoinverse_gram
+from .core import (
+    WeightVector,
+    as_matrix,
+    as_vector,
+    pseudoinverse_gram,
+    require_tall_full_rank,
+)
 from .leverage import leverage_exact
 from .simplex import solve_lp, solve_lp_stack
 
@@ -129,8 +139,8 @@ def _min_l1_dual(B, A):
     )
     for i in np.flatnonzero(~ok):
         if value[i] <= 1e-9 * (1.0 + float(np.abs(B).max())):
-            # the minimum is (numerically) zero: any feasible near-null x will do
-            x[i] = _least_squares_feasible(B, A[i])
+            # the minimum is (numerically) zero: the least-squares point is feasible
+            x[i] = _min_lp_irls(B, A[i : i + 1], 2)[0][0]
         else:  # degenerate recovery: fall back to the literal form
             sol = _min_l1_primal(B, A[i])
             x[i], value[i], pivots[i] = sol.x_opt, sol.value, sol.iterations
@@ -168,14 +178,8 @@ def _solve(G, rhs):
     return z
 
 
-def _least_squares_feasible(B, a):
-    """min ||Bx||_2 over the hyperplane, used only as a certificate carrier."""
-    A = a[None, :]
-    M, c, k, rest = _eliminate_hyperplanes(B, A)
-    return _assemble(_least_squares(M, c), A, k, rest)[0]
-
-
 _DELTAS = 10.0 ** np.arange(-2.0, -11.0, -1.0)  # 1e-2 geometrically down to 1e-10
+_MAX_INNER = 60  # IRLS iterations per delta
 # float64 entries of one stack (eliminated matrices or simplex tableaus); rows
 # are solved in chunks of this size, which bounds working memory at a few times it
 _CHUNK_ELEMENTS = 1 << 21
@@ -187,13 +191,26 @@ def _chunks(K, per_row):
     return [slice(s, s + step) for s in range(0, K, step)]
 
 
-def _min_lp_one_column(b, a, p):
-    """d = 1: x = 1 / a is forced, so the value is sum_j |b_j x|^p for every entry a."""
-    x = 1.0 / a
-    return x, np.sum(np.abs(b[None, :] * x[:, None]) ** p, axis=1)
+def _minimize(B, A, p):
+    """min ||B x||_p^p subject to a @ x = 1 for every row a of A (none zero).
+
+    d = 1 forces x = 1 / a; p = 1 is the stacked dual simplex and any other p
+    stacked IRLS.  Returns per-row arrays (x_opt, value, converged,
+    iterations), where iterations counts simplex pivots at p = 1 and is 0 at
+    d = 1.
+    """
+    K, d = A.shape
+    if d == 1:
+        x = 1.0 / A
+        value = np.sum(np.abs(B[:, 0] * x) ** p, axis=1)
+        return x, value, np.ones(K, dtype=bool), np.zeros(K, dtype=np.intp)
+    if p == 1:
+        x, value, pivots = _min_l1_dual(B, A)
+        return x, value, np.ones(K, dtype=bool), pivots
+    return _min_lp_irls(B, A, p)
 
 
-def _min_lp_irls(B, A, p, max_inner=60):
+def _min_lp_irls(B, A, p):
     """Smoothed IRLS for every row a of A: min ||B x||_p^p subject to a @ x = 1.
 
     Minimizes sum((r^2 + delta^2)^(p/2)) with delta annealed, on all rows at
@@ -211,13 +228,11 @@ def _min_lp_irls(B, A, p, max_inner=60):
     converged = np.empty(K, dtype=bool)
     iterations = np.empty(K, dtype=np.intp)
     for part in _chunks(K, B.shape[0] * (d - 1)):
-        x[part], value[part], converged[part], iterations[part] = _irls_chunk(
-            B, A[part], p, max_inner
-        )
+        x[part], value[part], converged[part], iterations[part] = _irls_chunk(B, A[part], p)
     return x, value, converged, iterations
 
 
-def _irls_chunk(B, A, p, max_inner):
+def _irls_chunk(B, A, p):
     M, c, k, rest = _eliminate_hyperplanes(B, A)
     z = _least_squares(M, c)
     r = _matvec(M, z) + c
@@ -234,7 +249,7 @@ def _irls_chunk(B, A, p, max_inner):
         act = np.arange(K)  # rows still iterating at this delta
         Ma, ca, za, ra = M, c, z, r
         obj = _smoothed(ra, d2, p)
-        for _ in range(max_inner):
+        for _ in range(_MAX_INNER):
             z_new = _least_squares(Ma, ca, (ra * ra + d2) ** (p / 2.0 - 1.0))
             iterations[act] += 1
             r_new = _matvec(Ma, z_new) + ca
@@ -263,48 +278,33 @@ def _irls_chunk(B, A, p, max_inner):
     return _assemble(z, A, k, rest), np.sum(np.abs(r) ** p, axis=1), converged, iterations
 
 
-def min_lp_on_hyperplane(B, a, p, solver: str = "auto") -> RegressionSolution:
-    """Minimize ||B x||_p^p subject to a @ x = 1.
+def _check_columns_and_p(B, other, name, p):
+    if B.shape[1] != other.shape[-1]:
+        raise ValueError(
+            f"shape mismatch: B has {B.shape[1]} columns, {name} has {other.shape[-1]}"
+        )
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
 
-    Parameters
-    ----------
-    B : (m, d) array
-    a : (d,) array, nonzero
-    p : real >= 1
-    solver : "auto" picks the exact LP for p = 1 and IRLS otherwise;
-        "lp" (p = 1 only) and "irls" force a path.
+
+def min_lp_on_hyperplane(B, a, p) -> RegressionSolution:
+    """Minimize ||B x||_p^p subject to a @ x = 1, for a nonzero row a and real p >= 1.
+
+    The one-row case of the solver behind ``sensitivities_wrt``: the exact LP
+    at p = 1, IRLS at any other p.
     """
     B = as_matrix(B)
     a = as_vector(a)
-    if B.shape[1] != a.shape[0]:
-        raise ValueError(f"shape mismatch: B has {B.shape[1]} columns, a has {a.shape[0]}")
-    if not 1 <= p < math.inf:
-        raise ValueError(f"p must be finite and >= 1, got {p}")
+    _check_columns_and_p(B, a, "a", p)
     if np.all(a == 0.0):
         raise ValueError("hyperplane row a must be nonzero")
-
-    if a.shape[0] == 1:
-        x, value = _min_lp_one_column(B[:, 0], a, p)
-        return RegressionSolution(x_opt=x, value=float(value[0]), status="optimal", iterations=0)
-
-    if solver == "auto":
-        solver = "lp" if p == 1 else "irls"
-    if solver == "lp":
-        if p != 1:
-            raise ValueError("the LP path is exact only for p = 1")
-        x, value, pivots = _min_l1_dual(B, a[None, :])
-        return RegressionSolution(
-            x_opt=x[0], value=float(value[0]), status="optimal", iterations=int(pivots[0])
-        )
-    if solver == "irls":
-        x, value, converged, iterations = _min_lp_irls(B, a[None, :], p)
-        return RegressionSolution(
-            x_opt=x[0],
-            value=float(value[0]),
-            status="optimal" if converged[0] else "iteration_limit",
-            iterations=int(iterations[0]),
-        )
-    raise ValueError(f"unknown solver {solver!r}")
+    x, value, converged, iterations = _minimize(B, a[None, :], p)
+    return RegressionSolution(
+        x_opt=x[0],
+        value=float(value[0]),
+        status="optimal" if converged[0] else "iteration_limit",
+        iterations=int(iterations[0]),
+    )
 
 
 def sensitivity_one(a, B, p) -> float:
@@ -326,10 +326,7 @@ def sensitivities_wrt(M, B, p) -> np.ndarray:
     """
     M = as_matrix(M)
     B = as_matrix(B)
-    if M.shape[1] != B.shape[1]:
-        raise ValueError(f"shape mismatch: B has {B.shape[1]} columns, M has {M.shape[1]}")
-    if not 1 <= p < math.inf:
-        raise ValueError(f"p must be finite and >= 1, got {p}")
+    _check_columns_and_p(B, M, "M", p)
     if p == 2:
         G = pseudoinverse_gram(B)
         vals = np.einsum("ij,jk,ik->i", M, G, M)
@@ -344,22 +341,15 @@ def sensitivities_wrt(M, B, p) -> np.ndarray:
 
     live = np.flatnonzero(np.any(M != 0.0, axis=1))
     rows = M[live]
-    if B.shape[1] == 1:
-        values = _min_lp_one_column(B[:, 0], rows[:, 0], p)[1]
-    elif p == 1:
-        values = _min_l1_dual(B, rows)[1]
-    else:
-        values = _min_lp_irls(B, rows, p)[1]
+    values = _minimize(B, rows, p)[1]
     outside = values <= _RANGE_TOL * np.linalg.norm(rows, axis=1) ** p
     vals = np.zeros(M.shape[0])
     vals[live] = np.divide(1.0, values, out=np.full(live.size, math.inf), where=~outside)
     return vals
 
 
-def sensitivities_exact(A, p) -> "WeightVector":
+def sensitivities_exact(A, p) -> WeightVector:
     """Exact lp sensitivities of every row of A with respect to A itself."""
-    from .core import WeightVector, require_tall_full_rank
-
     A = require_tall_full_rank(A)
     if p == 2:
         lev = leverage_exact(A)

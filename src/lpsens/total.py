@@ -228,9 +228,12 @@ def total_recursive_l1(a, cfg: TotalConfig, rng: RandomSource) -> float:
     dropped = int(n - keep.sum())
     surviving = a[keep]
 
-    sa = lp_embedding(a, 1, cfg.embed_eps, rng.child("sa"), constant=cfg.embed_constant)
+    w = lewis_weights(a, LewisConfig(p=1)).values  # shared by both embeddings
+    sa = lp_embedding(
+        a, 1, cfg.embed_eps, rng.child("sa"), constant=cfg.embed_constant, weights=w
+    )
     spa = lp_embedding(
-        a, 1, min(cfg.embed_eps, rho), rng.child("spa"), constant=cfg.embed_constant
+        a, 1, min(cfg.embed_eps, rho), rng.child("spa"), constant=cfg.embed_constant, weights=w
     )
     st = _RecursiveState(
         sa=sa.materialize(a),

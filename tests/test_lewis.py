@@ -63,7 +63,7 @@ class TestFixedPoint:
             assert total == pytest.approx(5.0, abs=1e-4)
 
     def test_large_p_converges_on_moderate_matrices(self, np_rng):
-        # no contraction guarantee past p = 4; damping handles mild inputs,
+        # no contraction guarantee past p = 4; beta = 1/2 handles mild inputs,
         # and harder ones surface NonConvergenceError instead of bad output
         for p in (4, 7):
             a = random_tall(np_rng, 60, 5)
@@ -129,21 +129,18 @@ class TestFixedPoint:
 
 
 class TestConfig:
-    def test_default_damping_schedule(self):
+    def test_default_beta_schedule(self):
         assert LewisConfig(p=1).beta == pytest.approx(0.5)
         assert LewisConfig(p=1.5).beta == pytest.approx(0.75)
         assert LewisConfig(p=2).beta == 1.0
         assert LewisConfig(p=3.9).beta == 1.0
         assert LewisConfig(p=4).beta == 0.5
-        assert LewisConfig(p=2.5, damping=0.3).beta == 0.3
 
     def test_validation(self):
         with pytest.raises(ValueError):
             LewisConfig(p=0.5)
         with pytest.raises(ValueError):
             LewisConfig(p=np.inf)
-        with pytest.raises(ValueError):
-            LewisConfig(p=2, damping=1.5)
 
     def test_nonconvergence_carries_residual(self, np_rng):
         a = random_tall(np_rng, 40, 4, scale_rows=True)

@@ -8,6 +8,7 @@ from conftest import (
     sensitivity_grid_2d,
 )
 from lpsens.regress import (
+    _min_lp_irls,
     min_lp_on_hyperplane,
     sensitivities_exact,
     sensitivities_wrt,
@@ -57,14 +58,9 @@ class TestHyperplaneMinimization:
     def test_lp_and_irls_agree_at_p1(self, np_rng):
         b = random_tall(np_rng, 30, 3, scale_rows=True)
         a = np_rng.standard_normal(3)
-        lp_val = min_lp_on_hyperplane(b, a, 1, solver="lp").value
-        irls_val = min_lp_on_hyperplane(b, a, 1, solver="irls").value
+        lp_val = min_lp_on_hyperplane(b, a, 1).value
+        irls_val = _min_lp_irls(b, a[None, :], 1)[1][0]
         assert irls_val == pytest.approx(lp_val, abs=1e-5 * (1 + lp_val))
-
-    def test_unknown_solver_rejected(self, np_rng):
-        b = random_tall(np_rng, 10, 2)
-        with pytest.raises(ValueError):
-            min_lp_on_hyperplane(b, np.ones(2), 1, solver="magic")
 
     @pytest.mark.parametrize("p", [0.5, np.inf, np.nan])
     def test_p_below_one_or_non_finite_rejected(self, np_rng, p):
@@ -194,7 +190,7 @@ class TestBatchedIrls:
 
     def test_irls_reports_status_and_iterations(self, np_rng):
         b = random_tall(np_rng, 20, 3)
-        sol = min_lp_on_hyperplane(b, np_rng.standard_normal(3), 1.5, solver="irls")
+        sol = min_lp_on_hyperplane(b, np_rng.standard_normal(3), 1.5)
         assert sol.status == "optimal" and 0 < sol.iterations < 9 * 60
 
     def test_irls_reports_iteration_limit(self):
@@ -203,11 +199,11 @@ class TestBatchedIrls:
         g = np.random.default_rng(20)
         b = g.standard_normal((20, 3)) * np.exp(g.uniform(-1.5, 1.5, 20))[:, None]
         a = g.standard_normal(3)
-        sol = min_lp_on_hyperplane(b, a, 1, solver="irls")
-        assert sol.status == "iteration_limit"
-        assert sol.iterations == 9 * 60
-        lp_val = min_lp_on_hyperplane(b, a, 1, solver="lp").value
-        assert sol.value == pytest.approx(lp_val, rel=1e-3)
+        _, value, converged, iterations = _min_lp_irls(b, a[None, :], 1)
+        assert not converged[0]
+        assert iterations[0] == 9 * 60
+        lp_val = min_lp_on_hyperplane(b, a, 1).value
+        assert value[0] == pytest.approx(lp_val, rel=1e-3)
 
 
 class TestBatchedLp:
@@ -251,7 +247,7 @@ class TestBatchedLp:
         rows = np_rng.standard_normal((5, 3))
         vals = sensitivities_wrt(rows, b, 1)
         for row, val in zip(rows, vals):
-            sol = min_lp_on_hyperplane(b, row, 1, solver="lp")
+            sol = min_lp_on_hyperplane(b, row, 1)
             assert 1.0 / sol.value == val
             assert sol.iterations > 0 and sol.status == "optimal"
 

@@ -74,10 +74,10 @@ def lp_embedding(
     sampled row set is redrawn (from fresh substreams) in the rare event it
     loses column rank, and kept rows are scaled by p_i^(-1/p).
     """
-    a = require_tall_full_rank(a)
-    n, d = a.shape
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
+    a = require_tall_full_rank(a)
+    n, d = a.shape
     if weights is None:
         weights = lewis_weights(a, LewisConfig(p=p)).values
     else:

@@ -84,6 +84,13 @@ class TestLpEmbedding:
         with pytest.raises(ValueError):
             lp_embedding(a, 1, 1.0, RandomSource(0))
 
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, float("nan")])
+    def test_bad_eps_rejected_before_rank_gate(self, np_rng, eps):
+        a = random_tall(np_rng, 50, 4)
+        a[:, 3] = a[:, 0] - a[:, 1]
+        with pytest.raises(ValueError, match="eps must be in"):
+            lp_embedding(a, 1, eps, RandomSource(0))
+
 
 class TestLinfEmbedding:
     def test_spanner_coefficients_bounded(self, np_rng):

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import leverage_svd_oracle, random_tall
-from lpsens.core import RandomSource
+from lpsens.core import RandomSource, RankDeficientError
 from lpsens.leverage import leverage_approx, leverage_exact
 
 
@@ -59,3 +61,48 @@ class TestApprox:
         a = random_tall(np_rng, 60, 3, scale_rows=True)
         vals = leverage_approx(a, eps=0.9, rng=RandomSource(1)).values
         assert np.all(vals >= 0) and np.all(vals <= 1)
+
+    @pytest.mark.parametrize("eps", [0.5, 0.3])
+    def test_window_on_coherent_rows(self, eps):
+        # 10 * I_8 hidden among tiny rows: eight scores near 1, the rest near 0
+        lo, hi = 1.0 / (1.0 + eps) ** 2, 1.0 / (1.0 - eps) ** 2
+        for seed in range(20):
+            gen = np.random.default_rng(seed)
+            a = np.vstack([0.01 * gen.standard_normal((2000, 8)), 10.0 * np.eye(8)])
+            a = a[gen.permutation(a.shape[0])]
+            ratio = leverage_approx(a, eps, RandomSource(seed)).values / leverage_exact(a).values
+            assert lo <= ratio.min() and ratio.max() <= hi, (seed, ratio.min(), ratio.max())
+
+    @pytest.mark.parametrize("eps", [0.5, 0.3])
+    def test_window_when_sketch_outnumbers_rows(self, eps):
+        # 112 rows, while the sketch has 152 rows at eps = 0.5 and 680 at 0.3
+        lo, hi = 1.0 / (1.0 + eps) ** 2, 1.0 / (1.0 - eps) ** 2
+        for seed in range(20):
+            a = random_tall(np.random.default_rng(seed), 112, 4, scale_rows=True)
+            ratio = leverage_approx(a, eps, RandomSource(seed)).values / leverage_exact(a).values
+            assert lo <= ratio.min() and ratio.max() <= hi, (seed, ratio.min(), ratio.max())
+
+    def test_rank_deficient_raises(self, np_rng):
+        a = random_tall(np_rng, 50, 4)
+        a[:, 3] = a[:, 0] - a[:, 1]
+        with pytest.raises(RankDeficientError):
+            leverage_approx(a, 0.5, RandomSource(0))
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, float("nan")])
+    def test_bad_eps_rejected_before_rank_gate(self, np_rng, eps):
+        a = random_tall(np_rng, 50, 4)
+        a[:, 3] = a[:, 0] - a[:, 1]
+        with pytest.raises(ValueError, match="eps must be in"):
+            leverage_approx(a, eps, RandomSource(0))
+
+    def test_working_memory_is_linear_in_rows(self):
+        # an r x n dense sketch here peaks near 41 a.nbytes; the sparse one near 3
+        a = np.random.default_rng(5).standard_normal((20000, 8))
+        leverage_approx(a, 0.5, RandomSource(1))
+        tracemalloc.start()
+        try:
+            leverage_approx(a, 0.5, RandomSource(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * a.nbytes, peak / a.nbytes

@@ -120,13 +120,12 @@ def _parse_list(text, flag, kind):
         raise CliInputError(f"{flag}: expected comma-separated {noun}, got {text!r}") from None
 
 
-_TOTAL_CONSTANTS = ("c_m", "embed_eps", "embed_constant", "r_constant",
-                    "base_constant", "base_size", "r_override")
+_TOTAL_CONSTANTS = ("embed_eps", "base_size", "r_override")
 # the hidden constants each subcommand lets --constants override; no other takes the flag
 _CONSTANTS = {
-    "all": ("signs_per_block", "embed_eps", "embed_constant"),
+    "all": ("signs_per_block", "embed_eps"),
     "total": _TOTAL_CONSTANTS,
-    "max": ("embed_eps", "embed_constant"),
+    "max": ("embed_eps",),
     "bench": _TOTAL_CONSTANTS,
 }
 # the subcommands whose estimates --exact scores against the brute-force oracle
@@ -148,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="also run the brute-force oracle and report log-ratio metrics")
         if name in _CONSTANTS:
             p.add_argument("--constants", default="",
-                           help="override hidden constants, e.g. c_m=5,embed_eps=0.25")
+                           help="override hidden constants, e.g. embed_eps=0.25")
         p.set_defaults(exact=False, constants="")
         return p
 

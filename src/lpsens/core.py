@@ -60,6 +60,25 @@ class RandomSource:
         return np.random.Generator(np.random.PCG64(ss))
 
 
+def store_integral_fields(cfg, *names) -> None:
+    """Store each named field of a frozen config as an int, or raise naming it.
+
+    Integral floats such as 30.0 are accepted; None (an unset override) is
+    left alone.
+    """
+    for name in names:
+        value = getattr(cfg, name)
+        if value is None:
+            continue
+        try:
+            integral = float(value).is_integer()
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(cfg, name, int(value))
+
+
 def as_matrix(data) -> np.ndarray:
     """Validate and return a 2-D float64 C-ordered matrix.
 

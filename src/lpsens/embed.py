@@ -24,6 +24,8 @@ from .core import (
 )
 from .lewis import LewisConfig, lewis_weights
 
+_INCLUSION_CONSTANT = 4.0  # O(1) factor of the Lewis inclusion rate; eps sets the rest
+
 
 @dataclass(frozen=True)
 class SamplingEmbedding:
@@ -48,26 +50,19 @@ class SamplingEmbedding:
         return a[self.source_rows] * self.scales[:, None]
 
 
-def inclusion_probabilities(weights, d, p, eps, constant=4.0) -> np.ndarray:
+def inclusion_probabilities(weights, d, eps) -> np.ndarray:
     """Per-row Bernoulli keep probabilities from Lewis weights.
 
-    min(1, constant * eps^-2 * w_i * log(d)^2 * log(d / eps)); the log
-    factors are floored at 1 so tiny d cannot zero them out.
+    min(1, 4 * eps^-2 * w_i * log(d)^2 * log(d / eps)); the log factors are
+    floored at 1 so tiny d cannot zero them out.
     """
     log_d = max(math.log(d), 1.0)
     log_de = max(math.log(d / eps), 1.0)
-    factor = constant * log_d * log_d * log_de / (eps * eps)
+    factor = _INCLUSION_CONSTANT * log_d * log_d * log_de / (eps * eps)
     return np.minimum(1.0, factor * np.asarray(weights, dtype=np.float64))
 
 
-def lp_embedding(
-    a,
-    p,
-    eps: float,
-    rng: RandomSource,
-    constant: float = 4.0,
-    weights=None,
-) -> SamplingEmbedding:
+def lp_embedding(a, p, eps: float, rng: RandomSource, weights=None) -> SamplingEmbedding:
     """Sample an lp subspace embedding of A at target distortion eps.
 
     Precomputed Lewis weights may be passed to avoid recomputing them.  The
@@ -84,7 +79,7 @@ def lp_embedding(
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (n,):
             raise ValueError("weights length must match the row count")
-    probs = inclusion_probabilities(weights, d, p, eps, constant)
+    probs = inclusion_probabilities(weights, d, eps)
     for attempt in range(20):
         gen = rng.child("lp_embedding", attempt).generator()
         keep = gen.random(n) < probs

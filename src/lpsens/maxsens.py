@@ -28,13 +28,7 @@ class MaxSensitivityResult:
     spanner_rows: tuple[int, ...]
 
 
-def max_sensitivity(
-    a,
-    p,
-    rng: RandomSource,
-    embed_eps: float = 0.25,
-    embed_constant: float = 4.0,
-) -> MaxSensitivityResult:
+def max_sensitivity(a, p, rng: RandomSource, embed_eps: float = 0.25) -> MaxSensitivityResult:
     """Estimate max_i of the lp sensitivities of the rows of ``a``."""
     a = require_tall_full_rank(a)
     if not p >= 1:
@@ -49,9 +43,7 @@ def max_sensitivity(
     d = a.shape[1]
     spanner = linf_embedding(a)
     rows = tuple(int(i) for i in spanner.source_rows)
-    embedding = lp_embedding(
-        a, p, embed_eps, rng.child("embed"), constant=embed_constant
-    )
+    embedding = lp_embedding(a, p, embed_eps, rng.child("embed"))
     sa = embedding.materialize(a)
     candidate_vals = sensitivities_wrt(a[np.array(rows, dtype=np.intp)], sa, p)
     raw_max = float(candidate_vals.max())

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomSource, WeightVector, require_tall_full_rank
+from .core import RandomSource, WeightVector, require_tall_full_rank, store_integral_fields
 from .embed import lp_embedding
 from .regress import sensitivities_wrt
 
@@ -31,9 +31,9 @@ class RowwiseConfig:
     signs_per_block: int = 100
     repetitions: int = 9
     embed_eps: float = 0.5
-    embed_constant: float = 4.0
 
     def __post_init__(self):
+        store_integral_fields(self, "alpha", "signs_per_block", "repetitions")
         if not self.p >= 1:
             raise ValueError(f"p must be >= 1, got {self.p}")
         if self.alpha < 1:
@@ -71,9 +71,7 @@ def sensitivities_rowwise(a, cfg: RowwiseConfig, rng: RandomSource) -> RowwiseRe
     if cfg.alpha >= n:
         raise ValueError(f"alpha must be smaller than the row count {n}")
 
-    embedding = lp_embedding(
-        a, cfg.p, cfg.embed_eps, rng.child("embed"), constant=cfg.embed_constant
-    )
+    embedding = lp_embedding(a, cfg.p, cfg.embed_eps, rng.child("embed"))
     sa = embedding.materialize(a)
 
     per_rep = np.empty((cfg.repetitions, n))

@@ -22,6 +22,7 @@ from .core import (  # noqa: F401 - perfbench/tracer.py wraps total.pseudoinvers
     as_matrix,
     pseudoinverse_gram,
     require_tall_full_rank,
+    store_integral_fields,
 )
 from .embed import lp_embedding
 from .leverage import leverage_exact
@@ -29,22 +30,20 @@ from .lewis import LewisConfig, lewis_weights
 from .regress import sensitivities_wrt
 
 _METHODS = ("lewis_oneshot", "recursive_l1")
+_ONESHOT_SAMPLE_CONSTANT = 10.0  # O(1) factor of the one-shot sample size; gamma sets the rest
 
 
 @dataclass(frozen=True)
 class TotalConfig:
     p: float
     gamma: float
-    method: str = "lewis_oneshot"
-    c_m: float = 10.0  # one-shot sample-size constant
+    method: str = "lewis_oneshot"  # read only by the CLI's estimator dispatch
     embed_eps: float = 0.5
-    embed_constant: float = 4.0
-    r_constant: float = 1.0  # recursive per-bucket sample-size constant
-    base_constant: float = 1.0  # recursive base-case size constant
     base_size: int | None = None  # overrides the base-case formula when set
     r_override: int | None = None  # overrides the per-bucket sample size when set
 
     def __post_init__(self):
+        store_integral_fields(self, "base_size", "r_override")
         if not self.p >= 1:
             raise ValueError(f"p must be >= 1, got {self.p}")
         if not 0.01 < self.gamma < 1.0:
@@ -92,12 +91,11 @@ class OneShotTotal:
         self.v = w / d  # sampling weight of each row; sums to 1 up to tolerance
         self.probs = self.v / self.v.sum()
         self.sample_size = int(
-            math.ceil(cfg.c_m * d ** abs(1.0 - cfg.p / 2.0) / (cfg.gamma * cfg.gamma))
+            math.ceil(
+                _ONESHOT_SAMPLE_CONSTANT * d ** abs(1.0 - cfg.p / 2.0) / (cfg.gamma * cfg.gamma)
+            )
         )
-        embedding = lp_embedding(
-            a, cfg.p, cfg.embed_eps, rng.child("embed"),
-            constant=cfg.embed_constant, weights=w,
-        )
+        embedding = lp_embedding(a, cfg.p, cfg.embed_eps, rng.child("embed"), weights=w)
         self.sa = embedding.materialize(a)
         self.embedded_rows = len(embedding)
         self._memo = np.full(n, np.nan)  # sensitivity of each row against sa, once computed
@@ -151,23 +149,16 @@ class _RecursiveState:
     spa: np.ndarray
     rho: float
     delta: float
-    r_constant: float
     r_override: int | None
     base_size: int
     depth_cap: int
     bucket_count: int
-    p: float
 
     def sample_size(self, n_node: int) -> int:
         if self.r_override is not None:
-            return max(int(self.r_override), 1)
-        r = math.ceil(
-            self.r_constant
-            * math.sqrt(n_node)
-            * (1.0 + self.rho)
-            / (self.rho * self.rho)
-            * math.log(1.0 / self.delta)
-        )
+            return max(self.r_override, 1)
+        rho = self.rho
+        r = math.ceil(math.sqrt(n_node) * (1.0 + rho) / (rho * rho) * math.log(1.0 / self.delta))
         return max(int(r), 1)
 
 
@@ -178,7 +169,7 @@ def _recurse(m_rows: np.ndarray, depth: int, rng: RandomSource, st: _RecursiveSt
             f"({st.depth_cap}); buckets are not shrinking"
         )
     if m_rows.shape[0] <= st.base_size:
-        return float(sensitivities_wrt(m_rows, st.spa, st.p).sum())
+        return float(sensitivities_wrt(m_rows, st.spa, 1.0).sum())
 
     c = np.vstack([m_rows, st.sa])
     tau = leverage_exact(c).values[: m_rows.shape[0]]
@@ -217,10 +208,10 @@ def total_recursive_l1(a, cfg: TotalConfig, rng: RandomSource) -> float:
     bucket_count = _bucket_count(n)
     delta = 0.01 / bucket_count**depth_cap
     if cfg.base_size is not None:
-        base_size = int(cfg.base_size)
+        base_size = cfg.base_size
     else:
         core = depth_cap**4 / (cfg.gamma * cfg.gamma)
-        base_size = int(math.ceil(cfg.base_constant * core * max(core, math.sqrt(d))))
+        base_size = int(math.ceil(core * max(core, math.sqrt(d))))
     base_size = max(base_size, 1)
 
     tau = leverage_exact(a).values
@@ -229,23 +220,17 @@ def total_recursive_l1(a, cfg: TotalConfig, rng: RandomSource) -> float:
     surviving = a[keep]
 
     w = lewis_weights(a, LewisConfig(p=1)).values  # shared by both embeddings
-    sa = lp_embedding(
-        a, 1, cfg.embed_eps, rng.child("sa"), constant=cfg.embed_constant, weights=w
-    )
-    spa = lp_embedding(
-        a, 1, min(cfg.embed_eps, rho), rng.child("spa"), constant=cfg.embed_constant, weights=w
-    )
+    sa = lp_embedding(a, 1, cfg.embed_eps, rng.child("sa"), weights=w)
+    spa = lp_embedding(a, 1, min(cfg.embed_eps, rho), rng.child("spa"), weights=w)
     st = _RecursiveState(
         sa=sa.materialize(a),
         spa=spa.materialize(a),
         rho=rho,
         delta=delta,
-        r_constant=cfg.r_constant,
         r_override=cfg.r_override,
         base_size=base_size,
         depth_cap=depth_cap,
         bucket_count=bucket_count,
-        p=1.0,
     )
     s = _recurse(as_matrix(surviving), 0, rng.child("recurse"), st)
     return (1.0 + cfg.gamma) * (s + dropped * float(n) ** -5.0)

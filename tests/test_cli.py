@@ -256,6 +256,30 @@ class TestExitCodes:
         assert main(["total", "--input", rand_csv, "--constants", "nope=3"]) == 1
         assert "unknown constants" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key", [
+        ("all", "embed_constant"),
+        ("max", "embed_constant"),
+        *[(command, key) for command in ("total", "bench")
+          for key in ("c_m", "embed_constant", "r_constant", "base_constant")],
+    ])
+    def test_removed_multipliers_are_unknown_constants(self, rand_csv, capsys, command, key):
+        assert main([command, "--input", rand_csv, "--constants", f"{key}=2"]) == 1
+        assert "unknown constants" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, field", [
+        (["all", "--alpha", "5", "--repetitions", "3", "--constants", "signs_per_block=2.5"],
+         "signs_per_block"),
+        (["total", "--method", "recursive_l1", "--constants", "base_size=8.7,r_override=6.2"],
+         "base_size"),
+        (["total", "--method", "recursive_l1", "--constants", "r_override=6.2"], "r_override"),
+    ])
+    def test_non_integral_integer_constants_rejected(self, rand_csv, capsys, argv, field):
+        assert main([*argv, "--input", rand_csv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {field} must be an integer" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_bad_out_extension(self, rand_csv, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("the oracle ran before --out was checked")

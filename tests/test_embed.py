@@ -16,7 +16,7 @@ from lpsens.lewis import LewisConfig, lewis_weights
 class TestInclusionProbabilities:
     def test_formula_and_cap(self):
         w = np.array([1e-6, 0.5, 1.0])
-        probs = inclusion_probabilities(w, d=3, p=1, eps=0.5, constant=4.0)
+        probs = inclusion_probabilities(w, d=3, eps=0.5)
         log_d = math.log(3)
         expected_small = 4.0 * 0.25**-1 * 1e-6 * log_d**2 * math.log(3 / 0.5)
         assert probs[0] == pytest.approx(expected_small, rel=1e-12)
@@ -24,13 +24,13 @@ class TestInclusionProbabilities:
 
     def test_log_factors_floored_for_tiny_d(self):
         # d = 1 would zero every log factor; the floor keeps probabilities alive
-        probs = inclusion_probabilities(np.array([0.01]), d=1, p=1, eps=0.5)
+        probs = inclusion_probabilities(np.array([0.01]), d=1, eps=0.5)
         assert probs[0] > 0
 
     def test_monotone_in_eps(self):
         w = np.full(5, 0.001)
-        loose = inclusion_probabilities(w, d=4, p=1, eps=0.9)
-        tight = inclusion_probabilities(w, d=4, p=1, eps=0.1)
+        loose = inclusion_probabilities(w, d=4, eps=0.9)
+        tight = inclusion_probabilities(w, d=4, eps=0.1)
         assert np.all(tight >= loose)
 
 
@@ -65,7 +65,7 @@ class TestLpEmbedding:
         p = 2.5
         w = lewis_weights(a, LewisConfig(p=p)).values
         emb = lp_embedding(a, p, 0.5, RandomSource(5), weights=w)
-        probs = inclusion_probabilities(w, 3, p, 0.5)
+        probs = inclusion_probabilities(w, 3, 0.5)
         np.testing.assert_allclose(
             emb.scales, probs[emb.source_rows] ** (-1.0 / p), rtol=1e-12
         )

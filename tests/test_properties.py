@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from conftest import random_tall
 from lpsens.core import matrix_rank
 from lpsens.leverage import leverage_exact
-from lpsens.regress import min_lp_on_hyperplane, sensitivities_wrt
+from lpsens.regress import min_lp_on_hyperplane, sensitivities_exact, sensitivities_wrt
 
 PROPERTY = settings(max_examples=30, derandomize=True, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
+exponents = st.sampled_from([1.0, 1.5, 2.0, 3.0])
 
 
 def _instance(seed, d, rows):
@@ -42,7 +43,7 @@ def test_hyperplane_minimum_matches_the_p2_closed_form(seed, d):
 
 
 @PROPERTY
-@given(seed=seeds, d=st.integers(1, 4), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+@given(seed=seeds, d=st.integers(1, 4), p=exponents)
 def test_invariant_under_a_change_of_basis(seed, d, p):
     # sigma(a R | B R) = sigma(a | B) for invertible R: x -> R^-1 x maps one
     # problem onto the other
@@ -52,6 +53,41 @@ def test_invariant_under_a_change_of_basis(seed, d, p):
     np.testing.assert_allclose(
         sensitivities_wrt(m @ r, b @ r, p), sensitivities_wrt(m, b, p), rtol=1e-9
     )
+
+
+@PROPERTY
+@given(seed=seeds, d=st.integers(1, 4), p=exponents)
+def test_permuting_the_rows_of_m_permutes_the_values(seed, d, p):
+    # rows never share arithmetic, so the permuted batch is the same bits
+    gen, b, m = _instance(seed, d, 6)
+    perm = gen.permutation(6)
+    np.testing.assert_array_equal(
+        sensitivities_wrt(m[perm], b, p), sensitivities_wrt(m, b, p)[perm]
+    )
+
+
+@PROPERTY
+@given(seed=seeds, d=st.integers(1, 4), p=exponents)
+def test_unchanged_by_permuting_b_or_scaling_m_and_b_together(seed, d, p):
+    # ||B x|| does not depend on the row order, and |c a.x| / ||c B x|| = |a.x| / ||B x||
+    gen, b, m = _instance(seed, d, 5)
+    ref = sensitivities_wrt(m, b, p)
+    shuffled = b[gen.permutation(b.shape[0])]
+    np.testing.assert_allclose(sensitivities_wrt(m, shuffled, p), ref, rtol=1e-8)
+    c = float(np.exp(gen.uniform(-3.0, 3.0)))
+    np.testing.assert_allclose(sensitivities_wrt(c * m, c * b, p), ref, rtol=1e-8)
+
+
+@PROPERTY
+@given(seed=seeds, d=st.integers(1, 4), p=exponents)
+def test_duplicating_a_row_maps_its_sensitivity_to_s_over_one_plus_s(seed, d, p):
+    # with a second copy of row i the objective gains |a_i.x|^p, so
+    # sup r / (1 + r) over the ratio r = |a_i.x|^p / ||A x||^p is s / (1 + s)
+    gen, a, _ = _instance(seed, d, 0)
+    i = int(gen.integers(a.shape[0]))
+    s = sensitivities_exact(a, p).values[i]
+    doubled = sensitivities_exact(np.vstack([a, a[i]]), p).values
+    np.testing.assert_allclose(doubled[[i, -1]], s / (1.0 + s), rtol=1e-8)
 
 
 @PROPERTY

@@ -20,6 +20,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             RowwiseConfig(p=1, alpha=2, embed_eps=1.0)
 
+    def test_integer_fields_take_integral_values_only(self):
+        cfg = RowwiseConfig(p=1, alpha=5.0, signs_per_block=np.int64(8), repetitions=3.0)
+        ints = (cfg.alpha, cfg.signs_per_block, cfg.repetitions)
+        assert ints == (5, 8, 3) and all(type(v) is int for v in ints)
+        for field in ("alpha", "signs_per_block", "repetitions"):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                RowwiseConfig(p=1, **{"alpha": 5, field: 2.5})
+        with pytest.raises(ValueError, match="alpha must be an integer"):
+            RowwiseConfig(p=1, alpha=float("nan"))
+
 
 class TestBlocks:
     def test_partition_property(self):
@@ -43,8 +53,7 @@ class TestEstimator:
         src = RandomSource(11)
         res = sensitivities_rowwise(a, cfg, src)
         w = lewis_weights(a, LewisConfig(p=1)).values
-        emb = lp_embedding(a, 1, cfg.embed_eps, src.child("embed"),
-                           constant=cfg.embed_constant, weights=w)
+        emb = lp_embedding(a, 1, cfg.embed_eps, src.child("embed"), weights=w)
         ref = sensitivities_wrt(a, emb.materialize(a), 1)
         np.testing.assert_allclose(res.estimates.values, ref, atol=1e-12)
 

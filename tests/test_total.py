@@ -25,6 +25,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             TotalConfig(p=1, gamma=0.2, method="magic")
 
+    def test_integer_overrides_take_integral_values_only(self):
+        cfg = TotalConfig(p=1, gamma=0.3, base_size=30.0, r_override=np.int64(20))
+        assert (cfg.base_size, cfg.r_override) == (30, 20)
+        assert type(cfg.base_size) is int and type(cfg.r_override) is int
+        unset = TotalConfig(p=1, gamma=0.3)
+        assert unset.base_size is None and unset.r_override is None
+        for field in ("base_size", "r_override"):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                TotalConfig(p=1, gamma=0.3, **{field: 8.7})
+
 
 class TestOneShot:
     def test_identity_matrix_is_exact_for_any_p_and_seed(self):
@@ -110,8 +120,8 @@ class TestOneShot:
 
     def test_sample_size_formula(self, np_rng):
         a = random_tall(np_rng, 50, 4)
-        shot = OneShotTotal(a, TotalConfig(p=3, gamma=0.25, c_m=7.0), RandomSource(0))
-        expected = int(np.ceil(7.0 * 4 ** abs(1 - 1.5) / 0.25**2))
+        shot = OneShotTotal(a, TotalConfig(p=3, gamma=0.25), RandomSource(0))
+        expected = int(np.ceil(10.0 * 4 ** abs(1 - 1.5) / 0.25**2))
         assert shot.sample_size == expected
 
 
@@ -160,8 +170,7 @@ class TestRecursive:
         got = total_recursive_l1(a, cfg, rng)
         # defaults put a 90-row matrix in the base case immediately
         rho = 0.3 / _depth_cap(90, 3)
-        spa = lp_embedding(a, 1, min(cfg.embed_eps, rho), rng.child("spa"),
-                           constant=cfg.embed_constant)
+        spa = lp_embedding(a, 1, min(cfg.embed_eps, rho), rng.child("spa"))
         ref = (1.0 + 0.3) * sensitivities_wrt(a, spa.materialize(a), 1).sum()
         assert got == pytest.approx(ref, rel=1e-9)
 

@@ -8,19 +8,23 @@ whose reciprocal is the sensitivity of the row ``a`` with respect to ``B``.
 One private dispatcher, ``_minimize``, solves it for a stack of rows: d = 1
 has a closed form, p = 1 is solved exactly as a linear program, and every
 other p by iteratively reweighted least squares (IRLS) on a smoothed
-objective, whose p = 2 case is its exact least-squares start.
-``min_lp_on_hyperplane`` is its one-row case; ``sensitivities_wrt`` answers
-p = 2 in closed form from the Gram pseudoinverse and sends every other p
-through it.
+objective, whose p = 2 case is its exact least-squares start.  The weights
+are Newton's: each iteration weights the least-squares system by the smoothed
+objective's second derivative and solves it for a step, halved until the
+objective falls enough, so a row converges quadratically once near its
+minimum.  ``min_lp_on_hyperplane`` is its one-row case and reports a solve
+that ran out of iterations; ``sensitivities_wrt`` raises NonConvergenceError
+for one instead.  It answers p = 2 in closed form from the Gram pseudoinverse
+and sends every other p through ``_minimize``.
 
 Both solvers handle all rows of a batch together.  At p = 1 every row's dual
 LP differs from the others only in one column, so the batch is one stack of
 LPs that the simplex advances in lockstep.  IRLS eliminates each row's
 hyperplane into one entry of a stack of (m, d - 1) matrices, and every
-iteration forms and solves the weighted normal equations of the rows still
-active as one stack.  Rows retire as soon as they finish, and no row's
-arithmetic depends on another's, so a row gets bit-identical results whether
-it is solved alone or in any batch.  Working memory is capped by solving the
+iteration forms and solves the Newton systems of the rows still active as
+one stack.  Rows retire as soon as they finish, and no row's arithmetic
+depends on another's, so a row gets bit-identical results whether it is
+solved alone or in any batch.  Working memory is capped by solving the
 rows in chunks of at most ``_CHUNK_ELEMENTS`` stacked matrix entries.
 """
 
@@ -32,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    NonConvergenceError,
     WeightVector,
     as_matrix,
     as_vector,
@@ -152,15 +157,33 @@ def _matvec(M, v):
     return np.matmul(M, v[..., None])[..., 0]
 
 
-def _least_squares(M, c, wgt=None):
-    """argmin_z of sum(wgt[i] * (M[i] z + c[i])**2) per stack entry (normal equations)."""
-    WM = M if wgt is None else M * wgt[:, :, None]
-    G = np.matmul(M.transpose(0, 2, 1), WM)
-    return _solve(G, -_matvec(WM.transpose(0, 2, 1), c))
+def _newton_step(M, grad, curv=None):
+    """Solve (M[i]^T diag(curv[i]) M[i]) step = -M[i]^T grad[i] per stack entry.
+
+    For sum(phi(M z + c)) with phi' = grad and phi'' = curv at the current
+    residual this is the Newton step in z.  With curv omitted (all ones) and
+    grad = c it is the least-squares solution argmin_z ||M z + c||_2 itself.
+    """
+    CM = M if curv is None else M * curv[:, :, None]
+    G = np.matmul(M.transpose(0, 2, 1), CM)
+    return _solve(G, -_matvec(M.transpose(0, 2, 1), grad))
 
 
 def _smoothed(r, d2, p):
     return np.sum((r * r + d2) ** (p / 2.0), axis=1)
+
+
+def _smoothed_derivatives(r, d2, p):
+    """phi'(r) / p and phi''(r) / p for phi(r) = (r^2 + delta^2)^(p/2).
+
+    The common factor p cancels from the Newton step.  phi'' is positive for
+    every p >= 1 while delta > 0, so each normal matrix is positive definite
+    whenever M[i] has full column rank.
+    """
+    r2 = r * r
+    s = r2 + d2
+    t = s ** (p / 2.0 - 2.0)
+    return r * s * t, ((p - 1.0) * r2 + d2) * t
 
 
 def _solve(G, rhs):
@@ -213,12 +236,18 @@ def _minimize(B, A, p):
 def _min_lp_irls(B, A, p):
     """Smoothed IRLS for every row a of A: min ||B x||_p^p subject to a @ x = 1.
 
-    Minimizes sum((r^2 + delta^2)^(p/2)) with delta annealed, on all rows at
-    once: each row's hyperplane is eliminated into a stack entry, and the
-    weighted normal equations of the still-active rows are formed and solved
-    as one stack per iteration.  Rows retire independently, so every row's
-    result is bit-identical to solving it alone.  A has no zero rows and
-    d >= 2.
+    Minimizes sum(phi(r)), phi(r) = (r^2 + delta^2)^(p/2), r = M z + c, with
+    delta annealed from 1e-2 to 1e-10, on all rows at once: each row's
+    hyperplane is eliminated into a stack entry (M, c).  Each iteration is a
+    Newton step, IRLS with the weights phi''(r): the systems
+    (M^T diag(phi''(r)) M) step = -M^T phi'(r) of the still-active rows are
+    formed and solved as one stack, and the step is halved until the
+    objective falls by a quarter of the decrease its slope predicts.  A row
+    finishes a delta when one step changes the objective by at most 1e-11
+    relative, and is reported not converged when it does not finish the last
+    delta within _MAX_INNER steps.  Rows retire independently, so every
+    row's result is bit-identical to solving it alone.  A has no zero rows
+    and d >= 2.
 
     Returns per-row arrays (x_opt, value, converged, iterations).
     """
@@ -234,7 +263,7 @@ def _min_lp_irls(B, A, p):
 
 def _irls_chunk(B, A, p):
     M, c, k, rest = _eliminate_hyperplanes(B, A)
-    z = _least_squares(M, c)
+    z = _newton_step(M, c)  # from z = 0, where r = c: least squares
     r = _matvec(M, z) + c
     K = A.shape[0]
     iterations = np.zeros(K, dtype=np.intp)
@@ -250,18 +279,25 @@ def _irls_chunk(B, A, p):
         Ma, ca, za, ra = M, c, z, r
         obj = _smoothed(ra, d2, p)
         for _ in range(_MAX_INNER):
-            z_new = _least_squares(Ma, ca, (ra * ra + d2) ** (p / 2.0 - 1.0))
+            grad, curv = _smoothed_derivatives(ra, d2, p)
+            z_new = za + _newton_step(Ma, grad, curv)
             iterations[act] += 1
             r_new = _matvec(Ma, z_new) + ca
             obj_new = _smoothed(r_new, d2, p)
-            # for p > 2 the full step can overshoot; halve back until it descends
+            # the objective's derivative along the whole step (negative)
+            slope = p * np.sum(grad * (r_new - ra), axis=1)
+            # far from the minimum a full Newton step can overshoot, on either
+            # side of p = 2 (at p = 1.5 it maps a lone residual r to -r, which
+            # leaves the objective unchanged); halve back towards the old point
+            # until the objective falls by a quarter of what the slope predicts
             for _ in range(40):
-                up = np.flatnonzero(obj_new > obj * (1.0 + 1e-12))
+                up = np.flatnonzero(obj_new > obj * (1.0 + 1e-12) + 0.25 * slope)
                 if up.size == 0:
                     break
                 z_new[up] = 0.5 * (z_new[up] + za[up])
                 r_new[up] = _matvec(Ma[up], z_new[up]) + ca[up]
                 obj_new[up] = _smoothed(r_new[up], d2, p)
+                slope[up] *= 0.5
             done = np.abs(obj - obj_new) <= 1e-11 * (1.0 + np.abs(obj_new))
             za, ra, obj = z_new, r_new, obj_new
             if done.any():
@@ -322,7 +358,8 @@ def sensitivities_wrt(M, B, p) -> np.ndarray:
     p = 2 and d = 1 have closed forms; p = 1 solves all rows' LPs as one
     lockstep simplex stack and any other p all rows in one stacked IRLS run.
     A row's value does not depend on which rows share its batch.  Zero rows
-    get 0.0 and rows outside the row space of B get inf.
+    get 0.0 and rows outside the row space of B get inf.  Raises
+    NonConvergenceError when any row's IRLS solve runs out of iterations.
     """
     M = as_matrix(M)
     B = as_matrix(B)
@@ -341,7 +378,12 @@ def sensitivities_wrt(M, B, p) -> np.ndarray:
 
     live = np.flatnonzero(np.any(M != 0.0, axis=1))
     rows = M[live]
-    values = _minimize(B, rows, p)[1]
+    _, values, converged, _ = _minimize(B, rows, p)
+    if not converged.all():
+        raise NonConvergenceError(
+            f"IRLS hit its iteration limit on {np.count_nonzero(~converged)} of"
+            f" {rows.shape[0]} rows at p = {p:g}"
+        )
     outside = values <= _RANGE_TOL * np.linalg.norm(rows, axis=1) ** p
     vals = np.zeros(M.shape[0])
     vals[live] = np.divide(1.0, values, out=np.full(live.size, math.inf), where=~outside)

@@ -90,6 +90,15 @@ def test_duplicating_a_row_maps_its_sensitivity_to_s_over_one_plus_s(seed, d, p)
     np.testing.assert_allclose(doubled[[i, -1]], s / (1.0 + s), rtol=1e-8)
 
 
+def test_duplicated_row_at_p3_to_solver_precision():
+    # one derandomized example of the property above, at p = 3, which a solver
+    # stopping on a small objective change missed by 9.7e-9
+    _, a, _ = _instance(45, 2, 0)
+    s = sensitivities_exact(a, 3).values[16]
+    doubled = sensitivities_exact(np.vstack([a, a[16]]), 3).values
+    np.testing.assert_allclose(doubled[[16, -1]], s / (1.0 + s), rtol=1e-10)
+
+
 @PROPERTY
 @given(
     seed=seeds,

@@ -7,6 +7,7 @@ from conftest import (
     random_tall,
     sensitivity_grid_2d,
 )
+from lpsens.core import NonConvergenceError
 from lpsens.regress import (
     _min_lp_irls,
     min_lp_on_hyperplane,
@@ -193,17 +194,69 @@ class TestBatchedIrls:
         sol = min_lp_on_hyperplane(b, np_rng.standard_normal(3), 1.5)
         assert sol.status == "optimal" and 0 < sol.iterations < 9 * 60
 
-    def test_irls_reports_iteration_limit(self):
-        # a seeded p = 1 instance on which smoothing never settles within 60
-        # inner iterations per delta
+    @staticmethod
+    def smoothing_instance():
+        # a seeded p = 1 instance: the smoothed minimum moves with every delta
         g = np.random.default_rng(20)
         b = g.standard_normal((20, 3)) * np.exp(g.uniform(-1.5, 1.5, 20))[:, None]
-        a = g.standard_normal(3)
-        _, value, converged, iterations = _min_lp_irls(b, a[None, :], 1)
-        assert not converged[0]
-        assert iterations[0] == 9 * 60
+        return b, g.standard_normal(3)
+
+    def test_irls_reports_iteration_limit(self, monkeypatch):
+        import lpsens.regress as regress
+
+        b, a = self.smoothing_instance()
         lp_val = min_lp_on_hyperplane(b, a, 1).value
-        assert value[0] == pytest.approx(lp_val, rel=1e-3)
+        for budget in (1, 2):
+            monkeypatch.setattr(regress, "_MAX_INNER", budget)
+            _, value, converged, iterations = _min_lp_irls(b, a[None, :], 1)
+            assert not converged[0]
+            assert iterations[0] == len(regress._DELTAS) * budget
+            assert value[0] >= lp_val
+
+    def test_irls_converges_to_the_lp_value_at_p1(self):
+        b, a = self.smoothing_instance()
+        _, value, converged, _ = _min_lp_irls(b, a[None, :], 1)
+        assert converged[0]
+        assert value[0] == pytest.approx(min_lp_on_hyperplane(b, a, 1).value, rel=1e-9)
+
+    def test_iteration_limit_raises(self, np_rng, monkeypatch):
+        import lpsens.regress as regress
+
+        b = random_tall(np_rng, 20, 3, scale_rows=True)
+        monkeypatch.setattr(regress, "_MAX_INNER", 1)  # too few steps near p = 1
+        with pytest.raises(NonConvergenceError, match="on 20 of 20 rows at p = 1.01"):
+            sensitivities_wrt(b, b, 1.01)
+        with pytest.raises(NonConvergenceError):
+            sensitivities_exact(b, 1.01)
+
+    @staticmethod
+    def polished_minimum(b, a, p, x, steps=8):
+        """Newton's method on the unsmoothed sum |B x|^p over a @ x = 1, from x.
+
+        x = a / |a|^2 + Q y with Q an orthonormal basis of a's null space."""
+        q = np.linalg.qr(a[:, None], mode="complete")[0][:, 1:]
+        x0 = a / (a @ a)
+        bq, c = b @ q, b @ x0
+        y = q.T @ (x - x0)
+        for _ in range(steps):
+            r = bq @ y + c
+            grad = bq.T @ (np.sign(r) * np.abs(r) ** (p - 1.0))
+            hess = (p - 1.0) * (bq * (np.abs(r) ** (p - 2.0))[:, None]).T @ bq
+            y = y - np.linalg.solve(hess, grad)
+        return np.sum(np.abs(bq @ y + c) ** p)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("p", [3.0, 5.0])
+    def test_reaches_the_unsmoothed_minimum_on_heavy_tails(self, seed, p):
+        # Student-t(2) entries with row scales exp(U(-2, 2)): at these seeds
+        # plain reweighting stopped 5e-9..1e-8 short at p = 3 and ran out of
+        # iterations on some row at p = 5
+        g = np.random.default_rng(seed)
+        b = g.standard_t(2, (120, 4)) * np.exp(g.uniform(-2.0, 2.0, 120))[:, None]
+        x, value, converged, _ = _min_lp_irls(b, b, p)
+        assert converged.all()
+        ref = [self.polished_minimum(b, b[i], p, x[i]) for i in range(b.shape[0])]
+        np.testing.assert_allclose(value, ref, rtol=1e-10)
 
 
 class TestBatchedLp:

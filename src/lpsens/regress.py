@@ -5,17 +5,18 @@ The quantity everything reduces to is
     min ||B x||_p^p   subject to   a @ x = 1,
 
 whose reciprocal is the sensitivity of the row ``a`` with respect to ``B``.
-One private dispatcher, ``_minimize``, solves it for a stack of rows: d = 1
-has a closed form, p = 1 is solved exactly as a linear program, and every
-other p by iteratively reweighted least squares (IRLS) on a smoothed
-objective, whose p = 2 case is its exact least-squares start.  The weights
-are Newton's: each iteration weights the least-squares system by the smoothed
-objective's second derivative and solves it for a step, halved until the
-objective falls enough, so a row converges quadratically once near its
-minimum.  ``min_lp_on_hyperplane`` is its one-row case and reports a solve
-that ran out of iterations; ``sensitivities_wrt`` raises NonConvergenceError
-for one instead.  It answers p = 2 in closed form from the Gram pseudoinverse
-and sends every other p through ``_minimize``.
+One private dispatcher, ``_minimize``, solves it for a stack of rows.  It
+first decides, from B alone and so alike for every p, which rows leave the
+row space of B: their minimum is 0, at a null vector of B, and costs no
+solve.  Of the rest, p = 2 has a closed form in the Gram pseudoinverse and
+d = 1 forces x = 1 / a; p = 1 is solved exactly as a linear program, and
+every other p by iteratively reweighted least squares (IRLS) on a smoothed
+objective.  The weights are Newton's: each iteration weights the
+least-squares system by the smoothed objective's second derivative and
+solves it for a step, halved until the objective falls enough, so a row
+converges quadratically once near its minimum.  ``min_lp_on_hyperplane`` is
+its one-row case and reports a solve that ran out of iterations;
+``sensitivities_wrt`` raises NonConvergenceError instead.
 
 Both solvers handle all rows of a batch together.  At p = 1 every row's dual
 LP differs from the others only in one column, so the batch is one stack of
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    RANK_TOL,
     NonConvergenceError,
     WeightVector,
     as_matrix,
@@ -45,8 +47,6 @@ from .core import (
 )
 from .leverage import leverage_exact
 from .simplex import solve_lp, solve_lp_stack
-
-_RANGE_TOL = 1e-12  # below this times ||a||^p the row is outside the row space
 
 
 @dataclass(frozen=True)
@@ -114,10 +114,10 @@ def _min_l1_dual(B, A):
     """Box-form dual of the same LP for every row a of A: max lambda s.t.
     B^T v = lambda a, |v| <= 1.
 
-    The optimum equals min ||Bx||_1 on the hyperplane, the basis stays d x d,
-    and the row multipliers recover the minimizer x.  The rows' LPs share
-    everything but their last column, so each chunk of rows is one stack.  A
-    row whose multipliers fail the recovery check is redone alone.
+    The optimum equals min ||Bx||_1 on the hyperplane (positive: every row is
+    in B's row space), the basis stays d x d and the multipliers recover x.
+    The rows' LPs share everything but their last column, so each chunk of
+    rows is one stack.  A row whose recovery check fails is redone alone.
 
     Returns per-row arrays (x_opt, value, pivots).
     """
@@ -142,13 +142,9 @@ def _min_l1_dual(B, A):
     ok = (np.abs(np.sum(A * x, axis=1) - 1.0) <= 1e-6) & (
         np.abs(np.abs(x @ B.T).sum(axis=1) - value) <= np.maximum(1e-7, 1e-6 * value)
     )
-    for i in np.flatnonzero(~ok):
-        if value[i] <= 1e-9 * (1.0 + float(np.abs(B).max())):
-            # the minimum is (numerically) zero: the least-squares point is feasible
-            x[i] = _min_lp_irls(B, A[i : i + 1], 2)[0][0]
-        else:  # degenerate recovery: fall back to the literal form
-            sol = _min_l1_primal(B, A[i])
-            x[i], value[i], pivots[i] = sol.x_opt, sol.value, sol.iterations
+    for i in np.flatnonzero(~ok):  # degenerate recovery: fall back to the literal form
+        sol = _min_l1_primal(B, A[i])
+        x[i], value[i], pivots[i] = sol.x_opt, sol.value, sol.iterations
     return x, value, pivots
 
 
@@ -217,20 +213,38 @@ def _chunks(K, per_row):
 def _minimize(B, A, p):
     """min ||B x||_p^p subject to a @ x = 1 for every row a of A (none zero).
 
-    d = 1 forces x = 1 / a; p = 1 is the stacked dual simplex and any other p
-    stacked IRLS.  Returns per-row arrays (x_opt, value, converged,
-    iterations), where iterations counts simplex pivots at p = 1 and is 0 at
-    d = 1.
+    B's R factor gives the Gram pseudoinverse G and an orthonormal basis V of
+    the row space, cut where ``pseudoinverse_gram`` cuts.  A row with an
+    entry of n = a - a V^T V above 1e-6 |a|_inf is outside: value 0 at
+    x = n / (a @ n), no solve.  Then p = 2 gives x = G a / (a G a) with value
+    1 / (a G a), d = 1 forces x = 1 / a, p = 1 runs the stacked dual simplex
+    and any other p stacked IRLS, each row on its own numbers.  Returns
+    per-row arrays (x_opt, value, converged, iterations), iterations being
+    simplex pivots at p = 1, Newton steps at other p and 0 without a solve.
     """
     K, d = A.shape
-    if d == 1:
-        x = 1.0 / A
-        value = np.sum(np.abs(B[:, 0] * x) ** p, axis=1)
-        return x, value, np.ones(K, dtype=bool), np.zeros(K, dtype=np.intp)
-    if p == 1:
-        x, value, pivots = _min_l1_dual(B, A)
-        return x, value, np.ones(K, dtype=bool), pivots
-    return _min_lp_irls(B, A, p)
+    R = np.linalg.qr(B, mode="r")  # R^T R = B^T B; cheaper to factor than B
+    _, sv, vt = np.linalg.svd(R, full_matrices=False)
+    V = vt[sv > RANK_TOL * sv[0]]
+    null = A - np.einsum("ik,kj->ij", np.einsum("ij,kj->ik", A, V), V)
+    outside = np.abs(null).max(axis=1) > 1e-6 * np.abs(A).max(axis=1)
+    x, value = np.empty((K, d)), np.zeros(K)
+    converged, iterations = np.ones(K, dtype=bool), np.zeros(K, dtype=np.intp)
+    out, rest = np.flatnonzero(outside), np.flatnonzero(~outside)
+    x[out] = null[out] / np.einsum("ij,ij->i", A[out], null[out])[:, None]
+    inner = A[rest]
+    if p == 2:
+        G = pseudoinverse_gram(R)
+        s = np.einsum("ij,jk,ik->i", inner, G, inner)
+        x[rest], value[rest] = np.einsum("ij,jk->ik", inner, G) / s[:, None], 1.0 / s
+    elif d == 1:
+        x[rest] = 1.0 / inner
+        value[rest] = np.sum(np.abs(B[:, 0] * x[rest]) ** p, axis=1)
+    elif p == 1:
+        x[rest], value[rest], iterations[rest] = _min_l1_dual(B, inner)
+    else:
+        x[rest], value[rest], converged[rest], iterations[rest] = _min_lp_irls(B, inner, p)
+    return x, value, converged, iterations
 
 
 def _min_lp_irls(B, A, p):
@@ -268,10 +282,6 @@ def _irls_chunk(B, A, p):
     K = A.shape[0]
     iterations = np.zeros(K, dtype=np.intp)
     converged = np.ones(K, dtype=bool)
-    if p == 2:  # weights are constant, the least-squares start is already optimal
-        iterations[:] = 1
-        return _assemble(z, A, k, rest), np.sum(r * r, axis=1), converged, iterations
-
     for delta in _DELTAS:
         d2 = delta * delta
         converged[:] = False
@@ -326,8 +336,11 @@ def _check_columns_and_p(B, other, name, p):
 def min_lp_on_hyperplane(B, a, p) -> RegressionSolution:
     """Minimize ||B x||_p^p subject to a @ x = 1, for a nonzero row a and real p >= 1.
 
-    The one-row case of the solver behind ``sensitivities_wrt``: the exact LP
-    at p = 1, IRLS at any other p.
+    The one-row case of the dispatcher behind ``sensitivities_wrt``, whose
+    value for a is ``1 / value`` bit for bit at every p.  A row outside the
+    row space of B gets value 0.0 at a null vector of B without a solve; the
+    others the closed form at p = 2 or d = 1, the exact LP at p = 1 and IRLS
+    at any other p.
     """
     B = as_matrix(B)
     a = as_vector(a)
@@ -346,8 +359,8 @@ def min_lp_on_hyperplane(B, a, p) -> RegressionSolution:
 def sensitivity_one(a, B, p) -> float:
     """Sensitivity of the row a with respect to B: 1 / min ||Bx||_p^p on a@x=1.
 
-    Returns 0.0 for a zero row and inf when the minimum vanishes (a outside
-    the row space of B).  Same value as the row gets from ``sensitivities_wrt``.
+    Returns 0.0 for a zero row and inf for a row outside the row space of B.
+    Same value as the row gets from ``sensitivities_wrt``.
     """
     return float(sensitivities_wrt(as_vector(a)[None, :], B, p)[0])
 
@@ -355,38 +368,23 @@ def sensitivity_one(a, B, p) -> float:
 def sensitivities_wrt(M, B, p) -> np.ndarray:
     """Sensitivity of every row of M with respect to the matrix B.
 
-    p = 2 and d = 1 have closed forms; p = 1 solves all rows' LPs as one
-    lockstep simplex stack and any other p all rows in one stacked IRLS run.
-    A row's value does not depend on which rows share its batch.  Zero rows
-    get 0.0 and rows outside the row space of B get inf.  Raises
-    NonConvergenceError when any row's IRLS solve runs out of iterations.
+    Zero rows get 0.0 and every other row 1 / value of ``_minimize``: inf
+    for a row outside the row space of B, at every p.  A row's value does not
+    depend on which rows share its batch.  Raises NonConvergenceError when
+    any row's IRLS solve runs out of iterations.
     """
     M = as_matrix(M)
     B = as_matrix(B)
     _check_columns_and_p(B, M, "M", p)
-    if p == 2:
-        G = pseudoinverse_gram(B)
-        vals = np.einsum("ij,jk,ik->i", M, G, M)
-        vals = np.maximum(vals, 0.0)
-        # the closed form is blind to rows outside the row space; flag them
-        gram_missing = M - (M @ G) @ (B.T @ B)
-        row_scale = np.maximum(np.abs(M).max(axis=1), 1e-300)
-        outside = np.abs(gram_missing).max(axis=1) > 1e-6 * row_scale
-        vals[outside] = math.inf
-        vals[np.all(M == 0.0, axis=1)] = 0.0
-        return vals
-
     live = np.flatnonzero(np.any(M != 0.0, axis=1))
-    rows = M[live]
-    _, values, converged, _ = _minimize(B, rows, p)
+    _, values, converged, _ = _minimize(B, M[live], p)
     if not converged.all():
         raise NonConvergenceError(
             f"IRLS hit its iteration limit on {np.count_nonzero(~converged)} of"
-            f" {rows.shape[0]} rows at p = {p:g}"
+            f" {live.size} rows at p = {p:g}"
         )
-    outside = values <= _RANGE_TOL * np.linalg.norm(rows, axis=1) ** p
     vals = np.zeros(M.shape[0])
-    vals[live] = np.divide(1.0, values, out=np.full(live.size, math.inf), where=~outside)
+    vals[live] = np.divide(1.0, values, out=np.full(live.size, math.inf), where=values != 0.0)
     return vals
 
 

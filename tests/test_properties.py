@@ -27,7 +27,7 @@ def _instance(seed, d, rows):
 
 
 @PROPERTY
-@given(seed=seeds, d=st.integers(1, 4), p=st.sampled_from([1.0, 1.5, 3.0]))
+@given(seed=seeds, d=st.integers(1, 4), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
 def test_hyperplane_minimum_is_the_one_row_sensitivity(seed, d, p):
     _, b, a = _instance(seed, d, 1)
     sol = min_lp_on_hyperplane(b, a[0], p)
@@ -35,11 +35,18 @@ def test_hyperplane_minimum_is_the_one_row_sensitivity(seed, d, p):
 
 
 @PROPERTY
-@given(seed=seeds, d=st.integers(1, 4))
-def test_hyperplane_minimum_matches_the_p2_closed_form(seed, d):
-    _, b, a = _instance(seed, d, 1)
-    sol = min_lp_on_hyperplane(b, a[0], 2)
-    assert 1.0 / sol.value == pytest.approx(sensitivities_wrt(a, b, 2)[0], rel=1e-9)
+@given(seed=seeds, d=st.integers(2, 4), p=st.sampled_from([1.0, 1.01, 1.5, 2.0, 3.0]))
+def test_rows_off_the_row_space_get_inf_and_rows_in_it_a_finite_value(seed, d, p):
+    # B (I - u u^T) has rank d - 1 and the row space u-perp, at every p
+    gen, b, m = _instance(seed, d, 2)
+    u = gen.standard_normal(d)
+    u /= np.linalg.norm(u)
+    b = b @ (np.eye(d) - np.outer(u, u))
+    inside = m - np.outer(m @ u, u)
+    along_u = inside + np.linalg.norm(m, axis=1)[:, None] * u
+    vals = sensitivities_wrt(np.vstack([along_u, inside]), b, p)
+    assert np.all(np.isinf(vals[:2]))
+    assert np.all(np.isfinite(vals[2:]) & (vals[2:] > 0.0))
 
 
 @PROPERTY

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from lpsens.regress import (
     sensitivities_wrt,
     sensitivity_one,
 )
+
+OUTSIDE_PS = [1.0, 1.01, 1.05, 1.1, 1.5, 2.0, 3.0]
 
 
 class TestHyperplaneMinimization:
@@ -120,13 +124,54 @@ class TestSensitivities:
             inside = sensitivities_wrt(row, np.vstack([b, row]), p)[0]
             assert inside == pytest.approx(1.0 / (1.0 + 1.0 / outside), rel=1e-8)
 
-    def test_zero_row_and_outside_rowspace(self, np_rng):
+    @staticmethod
+    def wide_scale_instance():
+        # Student-t(2) rows scaled by 10^U(-6, 6) with a zero last column, and
+        # five rows that all use that column: each lies outside the row space
+        g = np.random.default_rng(1001)
+        b = g.standard_t(2, (30, 4)) * 10 ** g.uniform(-6, 6, (30, 1))
+        b[:, 3] = 0.0
+        return b, g.standard_normal((5, 4))
+
+    @pytest.mark.parametrize("p", OUTSIDE_PS)
+    def test_zero_row_and_outside_rowspace(self, np_rng, p):
         b = np.zeros((6, 3))
         b[:, :2] = np_rng.standard_normal((6, 2))
         rows = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        vals = sensitivities_wrt(rows, b, 1)
+        vals = sensitivities_wrt(rows, b, p)
         assert vals[0] == 0.0
         assert np.isinf(vals[1])
+        # a decision read off the solved value ignores B's scale and gave row 3
+        # a finite 3.55e11 at p = 1.01; the row space does not depend on p
+        b, m = self.wide_scale_instance()
+        assert np.all(np.isinf(sensitivities_wrt(m, b, p)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p", OUTSIDE_PS)
+    def test_hyperplane_outside_rowspace_is_a_null_vector(self, p):
+        b, m = self.wide_scale_instance()
+        for a in m:
+            sol = min_lp_on_hyperplane(b, a, p)
+            assert sol.value == 0.0 and math.copysign(1.0, sol.value) == 1.0
+            assert sol.status == "optimal" and sol.iterations == 0
+            assert a @ sol.x_opt == pytest.approx(1.0, abs=1e-12)
+            bound = 1e-10 * np.abs(b).max() * np.abs(sol.x_opt).sum()
+            assert np.abs(b @ sol.x_opt).max() <= bound
+
+    @pytest.mark.parametrize("p", OUTSIDE_PS)
+    def test_ill_conditioned_full_rank_keeps_every_row_inside(self, p):
+        # cond(B) = 1e7: a projector formed as G B^T B errs by about
+        # eps cond(B)^2 and put every row outside; an orthonormal basis does not
+        g = np.random.default_rng(7)
+        q1 = np.linalg.qr(g.standard_normal((40, 4)))[0]
+        q2 = np.linalg.qr(g.standard_normal((4, 4)))[0]
+        s = np.logspace(0, -7, 4)
+        b = (q1 * s) @ q2
+        rows = g.standard_normal((5, 4))
+        vals = sensitivities_wrt(rows, b, p)
+        assert np.all(np.isfinite(vals) & (vals > 0.0))
+        if p == 2:  # a G a with G = q2^T diag(s^-2) q2
+            np.testing.assert_allclose(vals, np.sum((rows @ q2.T / s) ** 2, axis=1), rtol=1e-6)
 
     def test_sensitivity_one_matches_batch(self, np_rng):
         b = random_tall(np_rng, 14, 3)
@@ -165,7 +210,7 @@ class TestBatchedIrls:
             assert np.array_equal(sensitivities_wrt(rows, b, p), full)
         return full
 
-    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_full_rank(self, np_rng, monkeypatch, p):
         b = random_tall(np_rng, 40, 4, scale_rows=True)
         rows = np_rng.standard_normal((11, 4))
@@ -174,7 +219,7 @@ class TestBatchedIrls:
         assert vals[4] == 0.0
         assert np.all(np.delete(vals, 4) > 0.0) and np.all(np.isfinite(vals))
 
-    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_rank_deficient(self, np_rng, monkeypatch, p):
         # with a zero column, rows that avoid it have a singular normal matrix,
         # rows that use it lie outside the row space

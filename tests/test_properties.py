@@ -35,6 +35,14 @@ def test_hyperplane_minimum_is_the_one_row_sensitivity(seed, d, p):
 
 
 @PROPERTY
+@given(seed=seeds, d=st.integers(1, 4))
+def test_hyperplane_minimum_matches_the_p2_closed_form(seed, d):
+    _, b, a = _instance(seed, d, 1)
+    sol = min_lp_on_hyperplane(b, a[0], 2)
+    assert 1.0 / sol.value == pytest.approx(sensitivities_wrt(a, b, 2)[0], rel=1e-9)
+
+
+@PROPERTY
 @given(seed=seeds, d=st.integers(2, 4), p=st.sampled_from([1.0, 1.01, 1.5, 2.0, 3.0]))
 def test_rows_off_the_row_space_get_inf_and_rows_in_it_a_finite_value(seed, d, p):
     # B (I - u u^T) has rank d - 1 and the row space u-perp, at every p

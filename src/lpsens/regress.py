@@ -9,24 +9,30 @@ One private dispatcher, ``_minimize``, solves it for a stack of rows.  It
 first decides, from B alone and so alike for every p, which rows leave the
 row space of B: their minimum is 0, at a null vector of B, and costs no
 solve.  Of the rest, p = 2 has a closed form in the Gram pseudoinverse and
-d = 1 forces x = 1 / a; p = 1 is solved exactly as a linear program, and
-every other p by iteratively reweighted least squares (IRLS) on a smoothed
-objective.  The weights are Newton's: each iteration weights the
-least-squares system by the smoothed objective's second derivative and
-solves it for a step, halved until the objective falls enough, so a row
-converges quadratically once near its minimum.  ``min_lp_on_hyperplane`` is
-its one-row case and reports a solve that ran out of iterations;
-``sensitivities_wrt`` raises NonConvergenceError instead.
+d = 1 forces x = 1 / a.  Every other p runs iteratively reweighted least
+squares (IRLS) on a smoothed objective.  The weights are Newton's: each
+iteration weights the least-squares system by the smoothed objective's
+second derivative and solves it for a step, halved until the objective falls
+enough, so a row converges quadratically once near its minimum.
+``min_lp_on_hyperplane`` is the one-row case and reports a solve that ran
+out of iterations; ``sensitivities_wrt`` raises NonConvergenceError instead.
 
-Both solvers handle all rows of a batch together.  At p = 1 every row's dual
-LP differs from the others only in one column, so the batch is one stack of
-LPs that the simplex advances in lockstep.  IRLS eliminates each row's
-hyperplane into one entry of a stack of (m, d - 1) matrices, and every
-iteration forms and solves the Newton systems of the rows still active as
-one stack.  Rows retire as soon as they finish, and no row's arithmetic
+At p = 1 the problem is a linear program, and IRLS only leads the way to its
+optimal vertex.  After each smoothing stage a crossover takes the d - 1 rows
+of B with the smallest residuals, solves for the vertex where they vanish
+and for the dual multipliers of that vertex.  Multipliers in [-1, 1] prove
+the vertex optimal by weak duality: the row retires with it and with its
+exact value.  After the last stage the rows still open get the crossover
+once more, alone, with a vertex that survives repeated rows and a dual that
+survives degenerate vertices; scipy's HiGHS solves whatever is left.
+
+IRLS eliminates each row's hyperplane into one entry of a stack of
+(m, d - 1) matrices, and every iteration forms and solves the Newton systems
+of the rows still active as one stack; the crossover is one stack of d x d
+systems.  Rows retire as soon as they finish, and no row's arithmetic
 depends on another's, so a row gets bit-identical results whether it is
-solved alone or in any batch.  Working memory is capped by solving the
-rows in chunks of at most ``_CHUNK_ELEMENTS`` stacked matrix entries.
+solved alone or in any batch.  Working memory is capped by solving the rows
+in chunks of at most ``_CHUNK_ELEMENTS`` stacked matrix entries.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ from .core import (
     require_tall_full_rank,
 )
 from .leverage import leverage_exact
-from .simplex import solve_lp, solve_lp_stack
 
 
 @dataclass(frozen=True)
@@ -84,70 +89,6 @@ def _assemble(z, A, k, rest):
     return x
 
 
-def _min_l1_primal(B, a):
-    """Literal LP encoding: min sum(t), -t <= Bx <= t, a @ x = 1."""
-    m, d = B.shape
-    nv = 2 * d + 3 * m  # x+, x-, t, s1, s2
-    A = np.zeros((2 * m + 1, nv))
-    A[:m, :d] = B
-    A[:m, d : 2 * d] = -B
-    A[:m, 2 * d : 2 * d + m] = -np.eye(m)
-    A[:m, 2 * d + m : 2 * d + 2 * m] = np.eye(m)
-    A[m : 2 * m, :d] = -B
-    A[m : 2 * m, d : 2 * d] = B
-    A[m : 2 * m, 2 * d : 2 * d + m] = -np.eye(m)
-    A[m : 2 * m, 2 * d + 2 * m :] = np.eye(m)
-    A[2 * m, :d] = a
-    A[2 * m, d : 2 * d] = -a
-    b = np.zeros(2 * m + 1)
-    b[2 * m] = 1.0
-    c = np.zeros(nv)
-    c[2 * d : 2 * d + m] = 1.0
-    res = solve_lp(c, A, b)
-    x = res.x[:d] - res.x[d : 2 * d]
-    return RegressionSolution(
-        x_opt=x, value=res.value, status="optimal", iterations=res.pivots
-    )
-
-
-def _min_l1_dual(B, A):
-    """Box-form dual of the same LP for every row a of A: max lambda s.t.
-    B^T v = lambda a, |v| <= 1.
-
-    The optimum equals min ||Bx||_1 on the hyperplane (positive: every row is
-    in B's row space), the basis stays d x d and the multipliers recover x.
-    The rows' LPs share everything but their last column, so each chunk of
-    rows is one stack.  A row whose recovery check fails is redone alone.
-
-    Returns per-row arrays (x_opt, value, pivots).
-    """
-    m, d = B.shape
-    b = B.sum(axis=0)  # from shifting v = w - 1 into w in [0, 2]
-    c = np.zeros(m + 1)
-    c[m] = -1.0
-    ub = np.full(m + 1, 2.0)
-    ub[m] = np.inf
-    K = A.shape[0]
-    x = np.empty((K, d))
-    value = np.empty(K)
-    pivots = np.empty(K, dtype=np.intp)
-    for part in _chunks(K, d * (m + 1 + d)):  # a tableau is d x (m + 1 + d)
-        rows = A[part]
-        stack = np.empty((rows.shape[0], d, m + 1))
-        stack[:, :, :m] = B.T
-        stack[:, :, m] = -rows
-        res = solve_lp_stack(c, stack, b, upper=ub)
-        x[part], value[part], pivots[part] = res.duals, -res.value, res.pivots
-
-    ok = (np.abs(np.sum(A * x, axis=1) - 1.0) <= 1e-6) & (
-        np.abs(np.abs(x @ B.T).sum(axis=1) - value) <= np.maximum(1e-7, 1e-6 * value)
-    )
-    for i in np.flatnonzero(~ok):  # degenerate recovery: fall back to the literal form
-        sol = _min_l1_primal(B, A[i])
-        x[i], value[i], pivots[i] = sol.x_opt, sol.value, sol.iterations
-    return x, value, pivots
-
-
 def _matvec(M, v):
     """M[i] @ v[i] for every stack entry."""
     return np.matmul(M, v[..., None])[..., 0]
@@ -182,25 +123,31 @@ def _smoothed_derivatives(r, d2, p):
     return r * s * t, ((p - 1.0) * r2 + d2) * t
 
 
-def _solve(G, rhs):
-    """Solve every G[i] z = rhs[i]; singular entries fall back to lstsq alone."""
+def _solve(G, rhs, lstsq=True):
+    """Solve every G[i] z = rhs[i]; singular entries are redone alone.
+
+    A singular entry falls back to least squares, or with ``lstsq`` off
+    comes back as nan.  Other entries keep their bits either way.
+    """
     try:
         return np.linalg.solve(G, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         pass  # redo entry by entry, through the same stacked call, so others keep their bits
-    z = np.empty_like(rhs)
+    z = np.full(rhs.shape, np.nan)
     for i in range(G.shape[0]):
         try:
             z[i] = np.linalg.solve(G[i : i + 1], rhs[i : i + 1, :, None])[0, :, 0]
         except np.linalg.LinAlgError:
-            z[i] = np.linalg.lstsq(G[i], rhs[i], rcond=None)[0]
+            if lstsq:
+                z[i] = np.linalg.lstsq(G[i], rhs[i], rcond=None)[0]
     return z
 
 
 _DELTAS = 10.0 ** np.arange(-2.0, -11.0, -1.0)  # 1e-2 geometrically down to 1e-10
 _MAX_INNER = 60  # IRLS iterations per delta
-# float64 entries of one stack (eliminated matrices or simplex tableaus); rows
-# are solved in chunks of this size, which bounds working memory at a few times it
+_CERT_TOL = 1e-9  # round-off a p = 1 vertex certificate allows, relative
+# float64 entries of one stack of eliminated matrices; rows are solved in
+# chunks of this size, which bounds working memory at a few times it
 _CHUNK_ELEMENTS = 1 << 21
 
 
@@ -217,10 +164,12 @@ def _minimize(B, A, p):
     the row space, cut where ``pseudoinverse_gram`` cuts.  A row with an
     entry of n = a - a V^T V above 1e-6 |a|_inf is outside: value 0 at
     x = n / (a @ n), no solve.  Then p = 2 gives x = G a / (a G a) with value
-    1 / (a G a), d = 1 forces x = 1 / a, p = 1 runs the stacked dual simplex
-    and any other p stacked IRLS, each row on its own numbers.  Returns
-    per-row arrays (x_opt, value, converged, iterations), iterations being
-    simplex pivots at p = 1, Newton steps at other p and 0 without a solve.
+    1 / (a G a), d = 1 forces x = 1 / a, p = 1 runs ``_min_l1`` (on the
+    coordinates y = x V^T of the row space when V has fewer than d rows) and
+    any other p stacked IRLS, each row on its own numbers.  Returns per-row
+    arrays (x_opt, value, converged, iterations), iterations being Newton
+    steps (HiGHS iterations on a p = 1 row HiGHS solves) and 0 without a
+    solve.
     """
     K, d = A.shape
     R = np.linalg.qr(B, mode="r")  # R^T R = B^T B; cheaper to factor than B
@@ -240,14 +189,153 @@ def _minimize(B, A, p):
     elif d == 1:
         x[rest] = 1.0 / inner
         value[rest] = np.sum(np.abs(B[:, 0] * x[rest]) ** p, axis=1)
+    elif p == 1 and V.shape[0] < d:
+        # every vertex of a rank-deficient B is singular: solve on its row space
+        y, value[rest], _, iterations[rest] = _minimize(
+            B @ V.T, np.einsum("ij,kj->ik", inner, V), 1
+        )
+        x[rest] = np.einsum("ik,kj->ij", y, V)
     elif p == 1:
-        x[rest], value[rest], iterations[rest] = _min_l1_dual(B, inner)
+        x[rest], value[rest], iterations[rest] = _min_l1(B, inner)
     else:
         x[rest], value[rest], converged[rest], iterations[rest] = _min_lp_irls(B, inner, p)
     return x, value, converged, iterations
 
 
-def _min_lp_irls(B, A, p):
+@dataclass(frozen=True)
+class LPResult:
+    x: np.ndarray
+    value: float
+    pivots: int
+
+
+def solve_lp(B, a) -> LPResult:
+    """min ||B x||_1 subject to a @ x = 1 by scipy's HiGHS, on the primal LP
+    over (x, t): min sum(t) subject to -t <= B x <= t, a @ x = 1.
+
+    ``value`` is ||B x||_1 at the returned x and ``pivots`` HiGHS's iteration
+    count.  Only the rows no vertex crossover certifies get here, so
+    scipy.optimize is imported here, on first use, not with the package.
+    """
+    from scipy.optimize import linprog
+
+    m, d = B.shape
+    eye = np.eye(m)
+    res = linprog(
+        np.concatenate([np.zeros(d), np.ones(m)]),
+        A_ub=np.block([[B, -eye], [-B, -eye]]),
+        b_ub=np.zeros(2 * m),
+        A_eq=np.concatenate([a, np.zeros(m)])[None, :],
+        b_eq=[1.0],
+        bounds=[(None, None)] * d + [(0, None)] * m,
+        method="highs",
+    )
+    if res.status != 0:
+        raise NonConvergenceError(f"HiGHS failed on an l1 hyperplane LP: {res.message}")
+    x = res.x[:d]
+    return LPResult(x=x, value=float(np.abs(B @ x).sum()), pivots=int(res.nit))
+
+
+def _min_l1(B, A):
+    """min ||B x||_1 subject to a @ x = 1 for every row a of A; B has full
+    column rank and d >= 2.
+
+    IRLS with the stacked vertex crossover after each delta; then, for each
+    row it left open, ``_certify_alone`` from the last IRLS point, and HiGHS
+    for a row that fails that too.  Returns per-row arrays (x_opt, value,
+    iterations): Newton steps, or HiGHS's iterations on a row HiGHS solves.
+    """
+    x, value, certified, iterations = _min_lp_irls(B, A, 1, crossover=True)
+    for i in np.flatnonzero(~certified):
+        vertex = _certify_alone(B, A[i], B @ x[i])
+        if vertex is None:
+            lp = solve_lp(B, A[i])
+            vertex, iterations[i] = (lp.x, lp.value), lp.pivots
+        x[i], value[i] = vertex
+    return x, value, iterations
+
+
+def _crossover(B, A, r):
+    """Certify, for every row a of A, the vertex its residuals r point to.
+
+    S is the d - 1 rows of B with the smallest |r|, in index order.  The
+    vertex x solves [a; B_S] x = e_1.  With v_N = sign(B_N x) on the other
+    rows, the transposed system B_S^T v_S - lam a = -B_N^T v_N gives the
+    rest of a dual point v: B^T v = lam a.  When |v| <= 1, weak duality
+    makes lam a lower bound on min ||B x||_1 and ||B x||_1 is an upper one;
+    the row is certified when |v_S| <= 1 and the two bounds agree, both up
+    to _CERT_TOL.  A singular [a; B_S] certifies nothing.  Returns per-row
+    arrays (certified, x, ||B x||_1).
+    """
+    K, d = A.shape
+    S = np.sort(np.argpartition(np.abs(r), d - 2, axis=1)[:, : d - 1], axis=1)
+    vertex = np.empty((K, d, d))
+    vertex[:, 0], vertex[:, 1:] = A, B[S]
+    e1 = np.zeros((K, d))
+    e1[:, 0] = 1.0
+    x = _solve(vertex, e1, lstsq=False)  # nan where [a; B_S] is singular
+    res = np.matmul(B, x[:, :, None])[:, :, 0]
+    value = np.sum(np.abs(res), axis=1)
+    v = np.sign(res)
+    np.put_along_axis(v, S, 0.0, axis=1)
+    dual = _solve(vertex.transpose(0, 2, 1), -np.matmul(v[:, None, :], B)[:, 0], lstsq=False)
+    certified = (np.abs(dual[:, 1:]).max(axis=1) <= 1.0 + _CERT_TOL) & (
+        np.abs(value + dual[:, 0]) <= _CERT_TOL * value
+    )
+    return certified, x, value
+
+
+def _certify_alone(B, a, r):
+    """``_crossover`` for one row, robust to degenerate vertices.
+
+    S takes rows of B by ascending |r|, each only if it is independent of a
+    and of the rows already taken, so repeated rows cannot make the vertex
+    singular.  At the vertex x every row of S vanishes, and maybe more: the
+    dual point keeps v = sign(B x) off the zero set Z and solves
+    B_Z^T v_Z = lam a - B_N^T v_N, lam = ||B x||_1, by least squares, fixing
+    each entry that leaves [-1, 1] at +-1 and solving again for the rest.
+    The vertex is optimal when that v_Z solves the system, up to _CERT_TOL.
+    Returns (x, ||B x||_1), or None.
+    """
+    d = B.shape[1]
+    basis = np.empty((d, d))
+    basis[0] = a / np.linalg.norm(a)
+    S = []
+    for j in np.argsort(np.abs(r), kind="stable"):
+        q = basis[: len(S) + 1]
+        w = B[j] - (q @ B[j]) @ q
+        w -= (q @ w) @ q  # twice is enough (Gram-Schmidt)
+        norm = np.linalg.norm(w)
+        if norm > _CERT_TOL * np.linalg.norm(B[j]):
+            basis[len(S) + 1] = w / norm
+            S.append(j)
+            if len(S) == d - 1:
+                break
+    if len(S) < d - 1:
+        return None
+    S = np.sort(S)
+    try:
+        x = np.linalg.solve(np.vstack([a, B[S]]), np.eye(d)[0])
+    except np.linalg.LinAlgError:
+        return None
+    res = B @ x
+    value = float(np.abs(res).sum())
+    zero = np.abs(res) <= _CERT_TOL * np.linalg.norm(B, axis=1) * np.linalg.norm(x)
+    zero[S] = True
+    G, h = B[zero].T, value * a - B[~zero].T @ np.sign(res[~zero])
+    v, fixed = np.zeros(G.shape[1]), np.zeros(G.shape[1], dtype=bool)
+    while not fixed.all():  # least squares; entries beyond [-1, 1] are fixed at +-1
+        v[~fixed] = np.linalg.lstsq(G[:, ~fixed], h - G[:, fixed] @ v[fixed], rcond=None)[0]
+        over = np.abs(v) > 1.0
+        if not over.any():
+            break
+        v[over], fixed = np.sign(v[over]), fixed | over
+    if np.all(np.abs(G @ v - h) <= _CERT_TOL * (np.abs(B).sum(axis=0) + value * np.abs(a))):
+        return x, value
+    return None
+
+
+def _min_lp_irls(B, A, p, crossover=False):
     """Smoothed IRLS for every row a of A: min ||B x||_p^p subject to a @ x = 1.
 
     Minimizes sum(phi(r)), phi(r) = (r^2 + delta^2)^(p/2), r = M z + c, with
@@ -263,6 +351,10 @@ def _min_lp_irls(B, A, p):
     row's result is bit-identical to solving it alone.  A has no zero rows
     and d >= 2.
 
+    With ``crossover`` (p = 1 only) the open rows try ``_crossover`` after
+    each delta; a row it certifies retires for good with the vertex and its
+    value, and ``converged`` then means certified.
+
     Returns per-row arrays (x_opt, value, converged, iterations).
     """
     K, d = A.shape
@@ -271,27 +363,36 @@ def _min_lp_irls(B, A, p):
     converged = np.empty(K, dtype=bool)
     iterations = np.empty(K, dtype=np.intp)
     for part in _chunks(K, B.shape[0] * (d - 1)):
-        x[part], value[part], converged[part], iterations[part] = _irls_chunk(B, A[part], p)
+        x[part], value[part], converged[part], iterations[part] = _irls_chunk(
+            B, A[part], p, crossover
+        )
     return x, value, converged, iterations
 
 
-def _irls_chunk(B, A, p):
+def _irls_chunk(B, A, p, crossover):
     M, c, k, rest = _eliminate_hyperplanes(B, A)
     z = _newton_step(M, c)  # from z = 0, where r = c: least squares
     r = _matvec(M, z) + c
     K = A.shape[0]
+    x, value = np.empty(A.shape), np.empty(K)
     iterations = np.zeros(K, dtype=np.intp)
     converged = np.ones(K, dtype=bool)
+    todo = np.arange(K)  # the open rows; M, c, z, r and scale hold theirs alone
+    if crossover:
+        # smooth each row relative to its largest starting residual: the path
+        # then does not depend on the scale of B or a
+        scale = np.abs(r).max(axis=1, keepdims=True)
+        M, c, r = M / scale[:, :, None], c / scale, r / scale
     for delta in _DELTAS:
         d2 = delta * delta
-        converged[:] = False
-        act = np.arange(K)  # rows still iterating at this delta
+        converged[todo] = False
+        act = np.arange(todo.size)  # rows still iterating at this delta
         Ma, ca, za, ra = M, c, z, r
         obj = _smoothed(ra, d2, p)
         for _ in range(_MAX_INNER):
             grad, curv = _smoothed_derivatives(ra, d2, p)
             z_new = za + _newton_step(Ma, grad, curv)
-            iterations[act] += 1
+            iterations[todo[act]] += 1
             r_new = _matvec(Ma, z_new) + ca
             obj_new = _smoothed(r_new, d2, p)
             # the objective's derivative along the whole step (negative)
@@ -313,15 +414,28 @@ def _irls_chunk(B, A, p):
             if done.any():
                 # retire the rows converged at this delta; copy the rest only now
                 fin = act[done]
-                z[fin], r[fin], converged[fin] = za[done], ra[done], True
+                z[fin], r[fin], converged[todo[fin]] = za[done], ra[done], True
                 live = ~done
                 act, Ma, ca = act[live], Ma[live], ca[live]
                 za, ra, obj = za[live], ra[live], obj[live]
                 if act.size == 0:
                     break
         z[act], r[act] = za, ra
+        if crossover:
+            ok, x_ok, value_ok = _crossover(B, A[todo], r)
+            x[todo[ok]], value[todo[ok]], converged[todo[ok]] = x_ok[ok], value_ok[ok], True
+            if ok.any():
+                keep = ~ok
+                todo, M, c, z, r = todo[keep], M[keep], c[keep], z[keep], r[keep]
+                scale = scale[keep]
+                if todo.size == 0:
+                    break
 
-    return _assemble(z, A, k, rest), np.sum(np.abs(r) ** p, axis=1), converged, iterations
+    x[todo] = _assemble(z, A[todo], k[todo], rest[todo])
+    if crossover:
+        r, converged[todo] = r * scale, False
+    value[todo] = np.sum(np.abs(r) ** p, axis=1)
+    return x, value, converged, iterations
 
 
 def _check_columns_and_p(B, other, name, p):
@@ -339,8 +453,11 @@ def min_lp_on_hyperplane(B, a, p) -> RegressionSolution:
     The one-row case of the dispatcher behind ``sensitivities_wrt``, whose
     value for a is ``1 / value`` bit for bit at every p.  A row outside the
     row space of B gets value 0.0 at a null vector of B without a solve; the
-    others the closed form at p = 2 or d = 1, the exact LP at p = 1 and IRLS
-    at any other p.
+    others the closed form at p = 2 or d = 1, IRLS at any other p and, at
+    p = 1, the LP's optimal vertex, certified by a dual point (or solved by
+    HiGHS).  ``iterations`` counts Newton steps, HiGHS's iterations where
+    HiGHS solved the LP, and 0 without a solve; at p = 1 ``status`` is
+    always "optimal".
     """
     B = as_matrix(B)
     a = as_vector(a)
@@ -371,7 +488,8 @@ def sensitivities_wrt(M, B, p) -> np.ndarray:
     Zero rows get 0.0 and every other row 1 / value of ``_minimize``: inf
     for a row outside the row space of B, at every p.  A row's value does not
     depend on which rows share its batch.  Raises NonConvergenceError when
-    any row's IRLS solve runs out of iterations.
+    any row's IRLS solve runs out of iterations at p != 1 (at p = 1 every
+    value is a certified or HiGHS-solved LP optimum).
     """
     M = as_matrix(M)
     B = as_matrix(B)

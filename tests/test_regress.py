@@ -305,15 +305,12 @@ class TestBatchedIrls:
 
 
 class TestBatchedLp:
-    """p = 1: all rows' dual LPs run as one simplex stack, each row's bits its own."""
+    """p = 1: stacked Newton IRLS plus vertex crossovers, each row's bits its own."""
 
     @staticmethod
     def assert_batch_invariant(rows, b, monkeypatch, rng):
-        m, d = b.shape
-        per_row = d * (m + 1 + d)  # one dual simplex tableau
-        return TestBatchedIrls.assert_batch_invariant(
-            rows, b, 1, rng, monkeypatch, per_row=per_row
-        )
+        # chunks hold one eliminated IRLS matrix, m (d - 1) entries, per row
+        return TestBatchedIrls.assert_batch_invariant(rows, b, 1, rng, monkeypatch)
 
     def test_full_rank(self, np_rng, monkeypatch):
         b = random_tall(np_rng, 40, 4, scale_rows=True)
@@ -358,3 +355,111 @@ class TestBatchedLp:
         assert vals[2] == 0.0
         for i in (0, 1, 3, 4, 5):
             assert vals[i] == 1.0 / min_lp_on_hyperplane(b, rows[i], p).value
+
+    def test_uncertified_rows_fall_back_to_highs(self, np_rng, monkeypatch):
+        # with every vertex certificate rejected, each row is solved by HiGHS
+        # alone: the values still match the reference, batch for batch
+        import lpsens.regress as regress
+
+        crossover, solve_lp = regress._crossover, regress.solve_lp
+
+        def reject(B, A, r):
+            certified, x, value = crossover(B, A, r)
+            return np.zeros_like(certified), x, value
+
+        monkeypatch.setattr(regress, "_crossover", reject)
+        monkeypatch.setattr(regress, "_certify_alone", lambda B, a, r: None)
+        b = random_tall(np_rng, 30, 3, scale_rows=True)
+        rows = np_rng.standard_normal((6, 3))
+        vals = self.assert_batch_invariant(rows, b, monkeypatch, np_rng)
+        fallback = []
+        monkeypatch.setattr(regress, "solve_lp", lambda B, a: fallback.append(a) or solve_lp(B, a))
+        assert np.array_equal(sensitivities_wrt(rows, b, 1), vals)
+        assert len(fallback) == len(rows)
+        for row, val in zip(rows, vals):
+            ref_val, _ = min_l1_on_hyperplane_linprog(b, row)
+            assert val == pytest.approx(1.0 / ref_val, rel=1e-9)
+
+    @staticmethod
+    def degenerate_matrix(name):
+        g = np.random.default_rng(12)
+        if name == "integer":  # vertices where more than d - 1 residuals vanish
+            return g.integers(-3, 4, (150, 4)).astype(float)
+        if name == "duplicated":  # the d - 1 smallest residuals repeat a row
+            a = g.standard_normal((100, 6))
+            return np.vstack([a, a])
+        if name == "stacked_identity":
+            return np.vstack([np.eye(4)] * 25)
+        b = g.standard_normal((40, 4))  # zero column: every vertex of B is singular
+        b[:, 2] = 0.0
+        return b
+
+    @pytest.mark.parametrize("name", ["integer", "duplicated", "stacked_identity", "zero_column"])
+    def test_degenerate_inputs_match_highs(self, name):
+        b = self.degenerate_matrix(name)
+        vals = sensitivities_wrt(b, b, 1)
+        n = b.shape[0] // 2 if name == "duplicated" else b.shape[0]
+        if name == "duplicated":  # the second half repeats the first, bit for bit
+            assert np.array_equal(vals[n:], vals[:n])
+        for row, val in zip(b[:n], vals[:n]):
+            if not row.any():  # the integer matrix has a zero row
+                assert val == 0.0
+                continue
+            ref_val, _ = min_l1_on_hyperplane_linprog(b, row)
+            assert val == pytest.approx(1.0 / ref_val, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["integer", "gaussian"])
+    def test_certificates_accept_only_optimal_vertices(self, np_rng, kind):
+        # residuals of HiGHS's optimum, blurred by growing noise, point both
+        # crossovers at the optimal vertex and then at others: whatever
+        # vertex they certify must carry the LP optimum
+        import lpsens.regress as regress
+
+        b = np_rng.integers(-3, 4, (30, 3)).astype(float)
+        if kind == "gaussian":
+            b = random_tall(np_rng, 30, 3, scale_rows=True)
+        rows = np_rng.standard_normal((8, 3))
+        opt = [min_l1_on_hyperplane_linprog(b, a) for a in rows]
+        ref = np.array([value for value, _ in opt])
+        res = np.array([b @ x for _, x in opt])
+        accepted = 0
+        for noise in (0.0, 1e-3, 1e-1, 1.0, 10.0):
+            r = res + noise * np.abs(res).mean() * np_rng.standard_normal(res.shape)
+            certified, _, value = regress._crossover(b, rows, r)
+            np.testing.assert_allclose(value[certified], ref[certified], rtol=1e-9)
+            for a, r_row, want in zip(rows, r, ref):
+                vertex = regress._certify_alone(b, a, r_row)
+                if vertex is not None:
+                    assert vertex[1] == pytest.approx(want, rel=1e-9)
+                    accepted += 1
+        assert accepted >= len(rows)  # at least the noiseless pass certifies
+
+    @pytest.mark.parametrize("shape", ["heavy_tailed_112x4", "gaussian_300x8"])
+    def test_crossover_certifies_every_row(self, monkeypatch, shape):
+        import lpsens.regress as regress
+
+        g = np.random.default_rng(3)
+        if shape == "heavy_tailed_112x4":  # the benchmark's lp1 generator
+            b = g.standard_normal((112, 4)) * np.exp(g.uniform(-1.5, 1.5, 112))[:, None]
+        else:
+            b = g.standard_normal((300, 8))
+        fallback, solve_lp = [], regress.solve_lp
+        monkeypatch.setattr(regress, "solve_lp", lambda B, a: fallback.append(a) or solve_lp(B, a))
+        vals = sensitivities_exact(b, 1).values
+        assert fallback == []
+        assert np.all((vals > 0.0) & (vals <= 1.0)) and vals.sum() <= b.shape[1]
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # HiGHS (scipy.optimize) is imported only when a p = 1 row needs it;
+    # loading it with the package makes every start-up slower
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import lpsens
+
+    env = dict(os.environ, PYTHONPATH=str(Path(lpsens.__file__).resolve().parents[1]))
+    code = "import sys, lpsens; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -23,21 +23,19 @@ from .core import require_tall_full_rank  # noqa: F401
 from .leverage import leverage_exact  # noqa: F401
 
 _FLOOR = 1e-12  # weights are clamped here before any power is taken
+_MAX_ITERS = 200
+_TOL = 1e-6  # on the relative fixed-point residual
 
 
 @dataclass(frozen=True)
 class LewisConfig:
     p: float
-    max_iters: int = 200
-    tol: float = 1e-6
 
     def __post_init__(self):
         if not self.p >= 1:
             raise ValueError(f"p must be >= 1, got {self.p}")
         if np.isinf(self.p):
             raise ValueError("Lewis weights need finite p")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
 
     @property
     def beta(self) -> float:
@@ -54,8 +52,8 @@ def lewis_weights(a, cfg: LewisConfig) -> WeightVector:
 
     Weights and scores are clamped at F = 1e-12 before they are compared:
     the residual max_i |max(w_i, F) - max(tau_i, F)| / max(w_i, F) must fall
-    below cfg.tol; running out of iterations raises NonConvergenceError with
-    the final residual attached.
+    below _TOL = 1e-6 within _MAX_ITERS = 200 iterations; running out of
+    them raises NonConvergenceError with the final residual attached.
     """
     a, q = tall_full_rank_basis(a)
     d = a.shape[1]
@@ -71,7 +69,7 @@ def lewis_weights(a, cfg: LewisConfig) -> WeightVector:
     eye = np.eye(d)
     w = np.full(n, d / n)
     residual = np.inf
-    for _ in range(cfg.max_iters):
+    for _ in range(_MAX_ITERS):
         w = np.maximum(w, _FLOOR)
         y = q * (w**expo)[:, None]
         chol = scipy.linalg.cholesky(y.T @ y, lower=True, check_finite=False)
@@ -81,13 +79,13 @@ def lewis_weights(a, cfg: LewisConfig) -> WeightVector:
         # otherwise rows whose weight sits clamped there pin the residual at 1
         tau = np.maximum(np.einsum("ij,ij->i", z, z), _FLOOR)
         residual = float(np.max(np.abs(w - tau) / w))
-        if residual <= cfg.tol:
+        if residual <= _TOL:
             weights = np.zeros(a.shape[0])
             weights[live] = w
             return WeightVector(values=weights, kind="lewis", p=float(cfg.p))
         w = np.exp((1.0 - beta) * np.log(w) + beta * np.log(tau))
     raise NonConvergenceError(
-        f"Lewis weights did not reach tol={cfg.tol} in {cfg.max_iters} iterations"
+        f"Lewis weights did not reach tol={_TOL} in {_MAX_ITERS} iterations"
         f" (residual {residual:.3e})",
         residual=residual,
     )

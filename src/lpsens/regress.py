@@ -8,9 +8,11 @@ whose reciprocal is the sensitivity of the row ``a`` with respect to ``B``.
 One private dispatcher, ``_minimize``, solves it for a stack of rows.  It
 first decides, from B alone and so alike for every p, which rows leave the
 row space of B: their minimum is 0, at a null vector of B, and costs no
-solve.  Of the rest, p = 2 has a closed form in the Gram pseudoinverse and
-d = 1 forces x = 1 / a.  Every other p runs iteratively reweighted least
-squares (IRLS) on a smoothed objective.  The weights are Newton's: each
+solve.  Of the rest, p = 2 has a closed form in the Gram pseudoinverse.  At
+any other p a rank-deficient B is solved once in the coordinates of its row
+space, where it has full column rank; there d = 1 forces x = 1 / a, and
+every other case runs one driver, ``_min_lp_irls``: iteratively reweighted
+least squares (IRLS) on a smoothed objective.  The weights are Newton's: each
 iteration weights the least-squares system by the smoothed objective's
 second derivative and solves it for a step, halved until the objective falls
 enough, so a row converges quadratically once near its minimum.
@@ -164,12 +166,13 @@ def _minimize(B, A, p):
     the row space, cut where ``pseudoinverse_gram`` cuts.  A row with an
     entry of n = a - a V^T V above 1e-6 |a|_inf is outside: value 0 at
     x = n / (a @ n), no solve.  Then p = 2 gives x = G a / (a G a) with value
-    1 / (a G a), d = 1 forces x = 1 / a, p = 1 runs ``_min_l1`` (on the
-    coordinates y = x V^T of the row space when V has fewer than d rows) and
-    any other p stacked IRLS, each row on its own numbers.  Returns per-row
-    arrays (x_opt, value, converged, iterations), iterations being Newton
-    steps (HiGHS iterations on a p = 1 row HiGHS solves) and 0 without a
-    solve.
+    1 / (a G a).  Any other p on a rank-deficient B (V has fewer than d rows)
+    is solved once in the coordinates y = x V^T of the row space, where B V^T
+    has full column rank, and mapped back by x = y V.  On a full-rank B, d = 1
+    forces x = 1 / a and every other row runs ``_min_lp_irls``, each row on
+    its own numbers.  Returns per-row arrays (x_opt, value, converged,
+    iterations), iterations being Newton steps (HiGHS iterations on a p = 1
+    row HiGHS solves) and 0 without a solve.
     """
     K, d = A.shape
     R = np.linalg.qr(B, mode="r")  # R^T R = B^T B; cheaper to factor than B
@@ -186,17 +189,15 @@ def _minimize(B, A, p):
         G = pseudoinverse_gram(R)
         s = np.einsum("ij,jk,ik->i", inner, G, inner)
         x[rest], value[rest] = np.einsum("ij,jk->ik", inner, G) / s[:, None], 1.0 / s
+    elif V.shape[0] < d and rest.size:
+        # a rank-deficient B makes vertices and Newton systems singular
+        y, value[rest], converged[rest], iterations[rest] = _minimize(
+            B @ V.T, np.einsum("ij,kj->ik", inner, V), p
+        )
+        x[rest] = np.einsum("ik,kj->ij", y, V)
     elif d == 1:
         x[rest] = 1.0 / inner
         value[rest] = np.sum(np.abs(B[:, 0] * x[rest]) ** p, axis=1)
-    elif p == 1 and V.shape[0] < d:
-        # every vertex of a rank-deficient B is singular: solve on its row space
-        y, value[rest], _, iterations[rest] = _minimize(
-            B @ V.T, np.einsum("ij,kj->ik", inner, V), 1
-        )
-        x[rest] = np.einsum("ik,kj->ij", y, V)
-    elif p == 1:
-        x[rest], value[rest], iterations[rest] = _min_l1(B, inner)
     else:
         x[rest], value[rest], converged[rest], iterations[rest] = _min_lp_irls(B, inner, p)
     return x, value, converged, iterations
@@ -234,25 +235,6 @@ def solve_lp(B, a) -> LPResult:
         raise NonConvergenceError(f"HiGHS failed on an l1 hyperplane LP: {res.message}")
     x = res.x[:d]
     return LPResult(x=x, value=float(np.abs(B @ x).sum()), pivots=int(res.nit))
-
-
-def _min_l1(B, A):
-    """min ||B x||_1 subject to a @ x = 1 for every row a of A; B has full
-    column rank and d >= 2.
-
-    IRLS with the stacked vertex crossover after each delta; then, for each
-    row it left open, ``_certify_alone`` from the last IRLS point, and HiGHS
-    for a row that fails that too.  Returns per-row arrays (x_opt, value,
-    iterations): Newton steps, or HiGHS's iterations on a row HiGHS solves.
-    """
-    x, value, certified, iterations = _min_lp_irls(B, A, 1, crossover=True)
-    for i in np.flatnonzero(~certified):
-        vertex = _certify_alone(B, A[i], B @ x[i])
-        if vertex is None:
-            lp = solve_lp(B, A[i])
-            vertex, iterations[i] = (lp.x, lp.value), lp.pivots
-        x[i], value[i] = vertex
-    return x, value, iterations
 
 
 def _crossover(B, A, r):
@@ -335,7 +317,7 @@ def _certify_alone(B, a, r):
     return None
 
 
-def _min_lp_irls(B, A, p, crossover=False):
+def _min_lp_irls(B, A, p):
     """Smoothed IRLS for every row a of A: min ||B x||_p^p subject to a @ x = 1.
 
     Minimizes sum(phi(r)), phi(r) = (r^2 + delta^2)^(p/2), r = M z + c, with
@@ -348,12 +330,14 @@ def _min_lp_irls(B, A, p, crossover=False):
     finishes a delta when one step changes the objective by at most 1e-11
     relative, and is reported not converged when it does not finish the last
     delta within _MAX_INNER steps.  Rows retire independently, so every
-    row's result is bit-identical to solving it alone.  A has no zero rows
-    and d >= 2.
+    row's result is bit-identical to solving it alone.  B has full column
+    rank, A no zero rows and d >= 2.
 
-    With ``crossover`` (p = 1 only) the open rows try ``_crossover`` after
-    each delta; a row it certifies retires for good with the vertex and its
-    value, and ``converged`` then means certified.
+    At p = 1 the open rows try ``_crossover`` after each delta, and a row it
+    certifies retires for good with the vertex and its value.  A row still
+    open after the last delta gets ``_certify_alone`` from its last IRLS
+    point, and HiGHS if that fails too, so every row converges; iterations
+    then count HiGHS's iterations on a row HiGHS solves.
 
     Returns per-row arrays (x_opt, value, converged, iterations).
     """
@@ -363,13 +347,19 @@ def _min_lp_irls(B, A, p, crossover=False):
     converged = np.empty(K, dtype=bool)
     iterations = np.empty(K, dtype=np.intp)
     for part in _chunks(K, B.shape[0] * (d - 1)):
-        x[part], value[part], converged[part], iterations[part] = _irls_chunk(
-            B, A[part], p, crossover
-        )
+        x[part], value[part], converged[part], iterations[part] = _irls_chunk(B, A[part], p)
+    if p == 1:
+        for i in np.flatnonzero(~converged):
+            vertex = _certify_alone(B, A[i], B @ x[i])
+            if vertex is None:
+                lp = solve_lp(B, A[i])
+                vertex, iterations[i] = (lp.x, lp.value), lp.pivots
+            x[i], value[i] = vertex
+        converged[:] = True
     return x, value, converged, iterations
 
 
-def _irls_chunk(B, A, p, crossover):
+def _irls_chunk(B, A, p):
     M, c, k, rest = _eliminate_hyperplanes(B, A)
     z = _newton_step(M, c)  # from z = 0, where r = c: least squares
     r = _matvec(M, z) + c
@@ -377,8 +367,8 @@ def _irls_chunk(B, A, p, crossover):
     x, value = np.empty(A.shape), np.empty(K)
     iterations = np.zeros(K, dtype=np.intp)
     converged = np.ones(K, dtype=bool)
-    todo = np.arange(K)  # the open rows; M, c, z, r and scale hold theirs alone
-    if crossover:
+    todo = np.arange(K)  # the open rows; M, c, z and r hold theirs alone
+    if p == 1:
         # smooth each row relative to its largest starting residual: the path
         # then does not depend on the scale of B or a
         scale = np.abs(r).max(axis=1, keepdims=True)
@@ -421,20 +411,20 @@ def _irls_chunk(B, A, p, crossover):
                 if act.size == 0:
                     break
         z[act], r[act] = za, ra
-        if crossover:
+        if p == 1:
             ok, x_ok, value_ok = _crossover(B, A[todo], r)
             x[todo[ok]], value[todo[ok]], converged[todo[ok]] = x_ok[ok], value_ok[ok], True
             if ok.any():
                 keep = ~ok
                 todo, M, c, z, r = todo[keep], M[keep], c[keep], z[keep], r[keep]
-                scale = scale[keep]
                 if todo.size == 0:
                     break
 
     x[todo] = _assemble(z, A[todo], k[todo], rest[todo])
-    if crossover:
-        r, converged[todo] = r * scale, False
-    value[todo] = np.sum(np.abs(r) ** p, axis=1)
+    if p == 1:  # not certified: _min_lp_irls finishes these rows from x
+        converged[todo] = False
+    else:
+        value[todo] = np.sum(np.abs(r) ** p, axis=1)
     return x, value, converged, iterations
 
 

@@ -60,13 +60,6 @@ class TestHyperplaneMinimization:
             sol = min_lp_on_hyperplane(b, a, p)
             assert sol.value == pytest.approx(ref_val, rel=2e-6)
 
-    def test_lp_and_irls_agree_at_p1(self, np_rng):
-        b = random_tall(np_rng, 30, 3, scale_rows=True)
-        a = np_rng.standard_normal(3)
-        lp_val = min_lp_on_hyperplane(b, a, 1).value
-        irls_val = _min_lp_irls(b, a[None, :], 1)[1][0]
-        assert irls_val == pytest.approx(lp_val, abs=1e-5 * (1 + lp_val))
-
     @pytest.mark.parametrize("p", [0.5, np.inf, np.nan])
     def test_p_below_one_or_non_finite_rejected(self, np_rng, p):
         b = random_tall(np_rng, 10, 2)
@@ -141,6 +134,8 @@ class TestSensitivities:
         vals = sensitivities_wrt(rows, b, p)
         assert vals[0] == 0.0
         assert np.isinf(vals[1])
+        # B = 0 has an empty row-space basis: every nonzero row is outside
+        assert np.all(np.isinf(sensitivities_wrt(np.eye(3), np.zeros((6, 3)), p)))
         # a decision read off the solved value ignores B's scale and gave row 3
         # a finite 3.55e11 at p = 1.01; the row space does not depend on p
         b, m = self.wide_scale_instance()
@@ -221,48 +216,47 @@ class TestBatchedIrls:
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_rank_deficient(self, np_rng, monkeypatch, p):
-        # with a zero column, rows that avoid it have a singular normal matrix,
-        # rows that use it lie outside the row space
-        b = random_tall(np_rng, 30, 3, scale_rows=True)
-        b[:, 2] = 0.0
-        rows = np_rng.standard_normal((7, 3))
-        rows[[0, 3, 5], 2] = 0.0
-        rows[6] = 0.0
-        vals = self.assert_batch_invariant(rows, b, p, np_rng, monkeypatch)
-        reduced = sensitivities_wrt(rows[[0, 3, 5], :2], b[:, :2], p)
-        np.testing.assert_allclose(vals[[0, 3, 5]], reduced, rtol=1e-8)
-        assert np.all(np.isinf(vals[[1, 2, 4]]))
-        assert vals[6] == 0.0
+        # a zero column, or a dependent one b[:, 2] = b[:, :2] @ w, makes the
+        # normal matrices of the rows singular in the coordinates of x.  Rows
+        # [r, r @ w] lie in the row space and have the reduced problem's value;
+        # the others lie outside.  The solve runs on the row space, so no
+        # singular system falls back to least squares
+        def no_lstsq(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+        for w in (np.zeros(2), np_rng.standard_normal(2)):
+            b = random_tall(np_rng, 30, 3, scale_rows=True)
+            b[:, 2] = b[:, :2] @ w
+            rows = np_rng.standard_normal((7, 3))
+            rows[[0, 3, 5], 2] = rows[[0, 3, 5], :2] @ w
+            rows[6] = 0.0
+            vals = self.assert_batch_invariant(rows, b, p, np_rng, monkeypatch)
+            reduced = sensitivities_wrt(rows[[0, 3, 5], :2], b[:, :2], p)
+            np.testing.assert_allclose(vals[[0, 3, 5]], reduced, rtol=1e-8)
+            assert np.all(np.isinf(vals[[1, 2, 4]]))
+            assert vals[6] == 0.0
 
     def test_irls_reports_status_and_iterations(self, np_rng):
         b = random_tall(np_rng, 20, 3)
         sol = min_lp_on_hyperplane(b, np_rng.standard_normal(3), 1.5)
         assert sol.status == "optimal" and 0 < sol.iterations < 9 * 60
 
-    @staticmethod
-    def smoothing_instance():
-        # a seeded p = 1 instance: the smoothed minimum moves with every delta
-        g = np.random.default_rng(20)
-        b = g.standard_normal((20, 3)) * np.exp(g.uniform(-1.5, 1.5, 20))[:, None]
-        return b, g.standard_normal(3)
-
     def test_irls_reports_iteration_limit(self, monkeypatch):
         import lpsens.regress as regress
 
-        b, a = self.smoothing_instance()
-        lp_val = min_lp_on_hyperplane(b, a, 1).value
+        # a seeded instance near p = 1: the smoothed minimum moves with every delta
+        g = np.random.default_rng(20)
+        b = g.standard_normal((20, 3)) * np.exp(g.uniform(-1.5, 1.5, 20))[:, None]
+        a = g.standard_normal(3)
+        ref = min_lp_on_hyperplane(b, a, 1.01)
+        assert ref.status == "optimal"
         for budget in (1, 2):
             monkeypatch.setattr(regress, "_MAX_INNER", budget)
-            _, value, converged, iterations = _min_lp_irls(b, a[None, :], 1)
-            assert not converged[0]
-            assert iterations[0] == len(regress._DELTAS) * budget
-            assert value[0] >= lp_val
-
-    def test_irls_converges_to_the_lp_value_at_p1(self):
-        b, a = self.smoothing_instance()
-        _, value, converged, _ = _min_lp_irls(b, a[None, :], 1)
-        assert converged[0]
-        assert value[0] == pytest.approx(min_lp_on_hyperplane(b, a, 1).value, rel=1e-9)
+            sol = min_lp_on_hyperplane(b, a, 1.01)
+            assert sol.status == "iteration_limit"
+            assert sol.iterations == len(regress._DELTAS) * budget
+            assert sol.value >= ref.value
 
     def test_iteration_limit_raises(self, np_rng, monkeypatch):
         import lpsens.regress as regress

@@ -7,7 +7,8 @@ arguments (including random sources) give bit-identical results.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -145,12 +146,27 @@ def matrix_rank(a) -> int:
     return pivoted_qr(a).rank
 
 
-def tall_full_rank_basis(a) -> tuple[np.ndarray, np.ndarray]:
+class GatedMatrix(NamedTuple):
+    """A matrix that passed the rank gate, with the q factor that decided it.
+
+    Internal (not exported from the package): a public entry point gates its
+    input once and hands this value to the layers below it, so that each call
+    factors the matrix once.  It unpacks as ``a, q = gated``.
+    """
+
+    a: np.ndarray
+    q: np.ndarray
+
+
+def tall_full_rank_basis(a) -> GatedMatrix:
     """Entry gate for the estimators: n >= d and full column rank.
 
     Returns the validated matrix and the q factor of the pivoted QR that
-    decided its rank, an orthonormal basis of its column space.
+    decided its rank, an orthonormal basis of its column space.  A value
+    this function returned comes back unchanged, without a QR.
     """
+    if isinstance(a, GatedMatrix):
+        return a
     a = as_matrix(a)
     n, d = a.shape
     if n < d:
@@ -160,12 +176,17 @@ def tall_full_rank_basis(a) -> tuple[np.ndarray, np.ndarray]:
         raise RankDeficientError(
             f"matrix has column rank {qr.rank} < {d}; estimators need full column rank"
         )
-    return a, qr.q
+    return GatedMatrix(a, qr.q)
 
 
 def require_tall_full_rank(a) -> np.ndarray:
-    """``tall_full_rank_basis`` without the basis."""
-    return tall_full_rank_basis(a)[0]
+    """``tall_full_rank_basis`` without the basis.
+
+    Given a ``GatedMatrix`` it returns the matrix without a QR.  The
+    estimators call it so after gating, which keeps one call per estimator
+    on the gate binding that ``perfbench/tracer.py`` counts.
+    """
+    return tall_full_rank_basis(a).a
 
 
 def pseudoinverse_gram(a) -> np.ndarray:

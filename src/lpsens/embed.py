@@ -21,6 +21,7 @@ from .core import (
     as_matrix,
     matrix_rank,
     require_tall_full_rank,
+    tall_full_rank_basis,
 )
 from .lewis import LewisConfig, lewis_weights
 
@@ -67,14 +68,17 @@ def lp_embedding(a, p, eps: float, rng: RandomSource, weights=None) -> SamplingE
 
     Precomputed Lewis weights may be passed to avoid recomputing them.  The
     sampled row set is redrawn (from fresh substreams) in the rare event it
-    loses column rank, and kept rows are scaled by p_i^(-1/p).
+    loses column rank, and kept rows are scaled by p_i^(-1/p).  ``a`` may be
+    a ``GatedMatrix``; either way the Lewis weights reuse the one rank-gate
+    QR of A, so the call factors A once.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    a = require_tall_full_rank(a)
+    gated = tall_full_rank_basis(a)
+    a = require_tall_full_rank(gated)
     n, d = a.shape
     if weights is None:
-        weights = lewis_weights(a, LewisConfig(p=p)).values
+        weights = lewis_weights(gated, LewisConfig(p=p)).values
     else:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (n,):
@@ -99,6 +103,7 @@ def linf_embedding(a) -> SamplingEmbedding:
     bounded by 2 in absolute value, hence
     ||B x||_inf <= ||A x||_inf <= 2 d ||B x||_inf  for the selected block B.
     Deterministic; swaps a row in whenever it doubles the basis determinant.
+    ``a`` may be a ``GatedMatrix``, which skips the rank gate's QR.
     """
     a = require_tall_full_rank(a)
     n, d = a.shape

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .core import RandomSource, WeightVector, pivoted_qr, require_tall_full_rank
+from .core import GatedMatrix, RandomSource, WeightVector, pivoted_qr, require_tall_full_rank
 
 # nonzeros per column of the sparse sketch, one in each of this many row blocks
 SKETCH_BLOCKS = 8
@@ -34,9 +34,14 @@ def leverage_exact(a) -> WeightVector:
     Computed as squared row norms of the first rank columns of q from the
     pivoted QR that decides the rank everywhere else, which keeps the values
     in [0, 1] and their sum equal to that rank.  Works for any shape and rank.
+    Given a ``GatedMatrix`` it reads q off the gate's QR, whose rank is d, so
+    the scores are the same bits without a second QR.
     """
-    qr = pivoted_qr(a)
-    q = qr.q[:, : qr.rank]
+    if isinstance(a, GatedMatrix):
+        q = a.q
+    else:
+        qr = pivoted_qr(a)
+        q = qr.q[:, : qr.rank]
     vals = np.einsum("ij,ij->i", q, q)
     return WeightVector(values=np.clip(vals, 0.0, 1.0), kind="leverage", p=2.0)
 

@@ -3,8 +3,9 @@
 The fixed point w_i = tau_i(W^(1/2 - 1/p) A) needs leverage scores of
 row-scaled copies of A, and those stay the same when A is replaced by any
 basis of its column space.  ``lewis_weights`` therefore keeps the q factor of
-the pivoted QR its rank gate computes, once per call, and each iteration
-costs one d x d Cholesky: with s = w^(1/2 - 1/p), G = (sQ)^T (sQ) = L L^T
+the pivoted QR that decided the rank of A (its own rank gate's, or the one
+an estimator's ``GatedMatrix`` carries in), and each iteration costs one
+d x d Cholesky: with s = w^(1/2 - 1/p), G = (sQ)^T (sQ) = L L^T
 and tau_i = |L^-1 s_i q_i|^2.  Q has orthonormal columns, so cond(G) is
 bounded by the spread of the weights, not by cond(A)^2.
 """
@@ -49,6 +50,9 @@ class LewisConfig:
 
 def lewis_weights(a, cfg: LewisConfig) -> WeightVector:
     """Fixed point of w_i = tau_i(W^(1/2 - 1/p) A), found in log space.
+
+    ``a`` may be a ``GatedMatrix``; its q is then the basis, and this call
+    runs no QR of its own unless A has zero rows.
 
     Weights and scores are clamped at F = 1e-12 before they are compared:
     the residual max_i |max(w_i, F) - max(tau_i, F)| / max(w_i, F) must fall

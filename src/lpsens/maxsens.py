@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomSource, require_tall_full_rank
+from .core import RandomSource, require_tall_full_rank, tall_full_rank_basis
 from .embed import linf_embedding, lp_embedding
 from .leverage import leverage_exact
 from .regress import sensitivities_wrt
@@ -30,20 +30,21 @@ class MaxSensitivityResult:
 
 def max_sensitivity(a, p, rng: RandomSource, embed_eps: float = 0.25) -> MaxSensitivityResult:
     """Estimate max_i of the lp sensitivities of the rows of ``a``."""
-    a = require_tall_full_rank(a)
+    gated = tall_full_rank_basis(a)
+    a = require_tall_full_rank(gated)
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
     p = float(p)
     if p == 2.0:
-        top = float(leverage_exact(a).values.max())
+        top = float(leverage_exact(gated).values.max())
         return MaxSensitivityResult(
             estimate=top, raw_max=top, distortion_multiplier=1.0, spanner_rows=()
         )
 
     d = a.shape[1]
-    spanner = linf_embedding(a)
+    spanner = linf_embedding(gated)
     rows = tuple(int(i) for i in spanner.source_rows)
-    embedding = lp_embedding(a, p, embed_eps, rng.child("embed"))
+    embedding = lp_embedding(gated, p, embed_eps, rng.child("embed"))
     sa = embedding.materialize(a)
     candidate_vals = sensitivities_wrt(a[np.array(rows, dtype=np.intp)], sa, p)
     raw_max = float(candidate_vals.max())

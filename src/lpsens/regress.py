@@ -52,6 +52,7 @@ from .core import (
     as_vector,
     pseudoinverse_gram,
     require_tall_full_rank,
+    tall_full_rank_basis,
 )
 from .leverage import leverage_exact
 
@@ -167,12 +168,13 @@ def _minimize(B, A, p):
     entry of n = a - a V^T V above 1e-6 |a|_inf is outside: value 0 at
     x = n / (a @ n), no solve.  Then p = 2 gives x = G a / (a G a) with value
     1 / (a G a).  Any other p on a rank-deficient B (V has fewer than d rows)
-    is solved once in the coordinates y = x V^T of the row space, where B V^T
-    has full column rank, and mapped back by x = y V.  On a full-rank B, d = 1
-    forces x = 1 / a and every other row runs ``_min_lp_irls``, each row on
-    its own numbers.  Returns per-row arrays (x_opt, value, converged,
-    iterations), iterations being Newton steps (HiGHS iterations on a p = 1
-    row HiGHS solves) and 0 without a solve.
+    is solved in the coordinates y = x V^T of the row space, where B V^T has
+    full column rank and every inside row stays inside, so no second rank
+    decision is made; x = y V maps back.  In the coordinates solved in (x
+    itself on a full-rank B), one coordinate forces y = 1 / a and any more
+    run ``_min_lp_irls``, each row on its own numbers.  Returns per-row arrays
+    (x_opt, value, converged, iterations), iterations being Newton steps
+    (HiGHS iterations on a p = 1 row HiGHS solves) and 0 without a solve.
     """
     K, d = A.shape
     R = np.linalg.qr(B, mode="r")  # R^T R = B^T B; cheaper to factor than B
@@ -189,17 +191,18 @@ def _minimize(B, A, p):
         G = pseudoinverse_gram(R)
         s = np.einsum("ij,jk,ik->i", inner, G, inner)
         x[rest], value[rest] = np.einsum("ij,jk->ik", inner, G) / s[:, None], 1.0 / s
-    elif V.shape[0] < d and rest.size:
-        # a rank-deficient B makes vertices and Newton systems singular
-        y, value[rest], converged[rest], iterations[rest] = _minimize(
-            B @ V.T, np.einsum("ij,kj->ik", inner, V), p
-        )
-        x[rest] = np.einsum("ik,kj->ij", y, V)
-    elif d == 1:
-        x[rest] = 1.0 / inner
-        value[rest] = np.sum(np.abs(B[:, 0] * x[rest]) ** p, axis=1)
-    else:
-        x[rest], value[rest], converged[rest], iterations[rest] = _min_lp_irls(B, inner, p)
+    elif rest.size:
+        reduced = V.shape[0] < d
+        if reduced:
+            # a rank-deficient B makes vertices and Newton systems singular;
+            # B V^T has full column rank and no row of A V^T leaves its row space
+            B, inner = B @ V.T, np.einsum("ij,kj->ik", inner, V)
+        if inner.shape[1] == 1:
+            y = 1.0 / inner
+            value[rest] = np.sum(np.abs(B[:, 0] * y) ** p, axis=1)
+        else:
+            y, value[rest], converged[rest], iterations[rest] = _min_lp_irls(B, inner, p)
+        x[rest] = np.einsum("ik,kj->ij", y, V) if reduced else y
     return x, value, converged, iterations
 
 
@@ -497,10 +500,14 @@ def sensitivities_wrt(M, B, p) -> np.ndarray:
 
 
 def sensitivities_exact(A, p) -> WeightVector:
-    """Exact lp sensitivities of every row of A with respect to A itself."""
-    A = require_tall_full_rank(A)
+    """Exact lp sensitivities of every row of A with respect to A itself.
+
+    At p = 2 these are the leverage scores, read off the rank gate's QR.
+    """
+    gated = tall_full_rank_basis(A)
+    A = require_tall_full_rank(gated)
     if p == 2:
-        lev = leverage_exact(A)
+        lev = leverage_exact(gated)
         return WeightVector(values=lev.values, kind="sensitivity", p=2.0)
     vals = sensitivities_wrt(A, A, p)
     return WeightVector(values=vals, kind="sensitivity", p=float(p))

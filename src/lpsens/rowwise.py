@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomSource, WeightVector, require_tall_full_rank, store_integral_fields
+from .core import (
+    RandomSource,
+    WeightVector,
+    require_tall_full_rank,
+    store_integral_fields,
+    tall_full_rank_basis,
+)
 from .embed import lp_embedding
 from .regress import sensitivities_wrt
 
@@ -66,12 +72,13 @@ def random_blocks(n: int, alpha: int, rng: RandomSource) -> list[np.ndarray]:
 
 def sensitivities_rowwise(a, cfg: RowwiseConfig, rng: RandomSource) -> RowwiseResult:
     """Estimate every row's lp sensitivity from block sign combinations."""
-    a = require_tall_full_rank(a)
+    gated = tall_full_rank_basis(a)
+    a = require_tall_full_rank(gated)
     n, d = a.shape
     if cfg.alpha >= n:
         raise ValueError(f"alpha must be smaller than the row count {n}")
 
-    embedding = lp_embedding(a, cfg.p, cfg.embed_eps, rng.child("embed"))
+    embedding = lp_embedding(gated, cfg.p, cfg.embed_eps, rng.child("embed"))
     sa = embedding.materialize(a)
 
     per_rep = np.empty((cfg.repetitions, n))

@@ -23,6 +23,7 @@ from .core import (  # noqa: F401 - perfbench/tracer.py wraps total.pseudoinvers
     pseudoinverse_gram,
     require_tall_full_rank,
     store_integral_fields,
+    tall_full_rank_basis,
 )
 from .embed import lp_embedding
 from .leverage import leverage_exact
@@ -83,11 +84,12 @@ class OneShotTotal:
     """
 
     def __init__(self, a, cfg: TotalConfig, rng: RandomSource):
-        a = require_tall_full_rank(a)
+        gated = tall_full_rank_basis(a)
+        a = require_tall_full_rank(gated)
         n, d = a.shape
         self.a = a
         self.p = float(cfg.p)
-        w = lewis_weights(a, LewisConfig(p=cfg.p)).values
+        w = lewis_weights(gated, LewisConfig(p=cfg.p)).values
         self.v = w / d  # sampling weight of each row; sums to 1 up to tolerance
         self.probs = self.v / self.v.sum()
         self.sample_size = int(
@@ -95,7 +97,7 @@ class OneShotTotal:
                 _ONESHOT_SAMPLE_CONSTANT * d ** abs(1.0 - cfg.p / 2.0) / (cfg.gamma * cfg.gamma)
             )
         )
-        embedding = lp_embedding(a, cfg.p, cfg.embed_eps, rng.child("embed"), weights=w)
+        embedding = lp_embedding(gated, cfg.p, cfg.embed_eps, rng.child("embed"), weights=w)
         self.sa = embedding.materialize(a)
         self.embedded_rows = len(embedding)
         self._memo = np.full(n, np.nan)  # sensitivity of each row against sa, once computed
@@ -200,7 +202,8 @@ def total_recursive_l1(a, cfg: TotalConfig, rng: RandomSource) -> float:
     """
     if cfg.p != 1:
         raise ValueError("the recursive estimator is specific to p = 1")
-    a = require_tall_full_rank(a)
+    gated = tall_full_rank_basis(a)
+    a = require_tall_full_rank(gated)
     n, d = a.shape
 
     depth_cap = _depth_cap(n, d)
@@ -214,14 +217,14 @@ def total_recursive_l1(a, cfg: TotalConfig, rng: RandomSource) -> float:
         base_size = int(math.ceil(core * max(core, math.sqrt(d))))
     base_size = max(base_size, 1)
 
-    tau = leverage_exact(a).values
+    tau = leverage_exact(gated).values
     keep = tau >= n**-10.0
     dropped = int(n - keep.sum())
     surviving = a[keep]
 
-    w = lewis_weights(a, LewisConfig(p=1)).values  # shared by both embeddings
-    sa = lp_embedding(a, 1, cfg.embed_eps, rng.child("sa"), weights=w)
-    spa = lp_embedding(a, 1, min(cfg.embed_eps, rho), rng.child("spa"), weights=w)
+    w = lewis_weights(gated, LewisConfig(p=1)).values  # shared by both embeddings
+    sa = lp_embedding(gated, 1, cfg.embed_eps, rng.child("sa"), weights=w)
+    spa = lp_embedding(gated, 1, min(cfg.embed_eps, rho), rng.child("spa"), weights=w)
     st = _RecursiveState(
         sa=sa.materialize(a),
         spa=spa.materialize(a),

@@ -90,9 +90,7 @@ class TestSensitivities:
         from lpsens.leverage import leverage_exact
 
         a = random_tall(np_rng, 30, 4)
-        np.testing.assert_allclose(
-            sensitivities_exact(a, 2).values, leverage_exact(a).values, atol=1e-9
-        )
+        assert np.array_equal(sensitivities_exact(a, 2).values, leverage_exact(a).values)
 
     def test_scale_invariance_of_matrix(self, np_rng):
         a = random_tall(np_rng, 15, 2)
@@ -220,11 +218,18 @@ class TestBatchedIrls:
         # normal matrices of the rows singular in the coordinates of x.  Rows
         # [r, r @ w] lie in the row space and have the reduced problem's value;
         # the others lie outside.  The solve runs on the row space, so no
-        # singular system falls back to least squares
+        # singular system falls back to least squares, and B is factored once
         def no_lstsq(*args, **kwargs):
             raise AssertionError("np.linalg.lstsq called")
 
+        qr, qr_calls = np.linalg.qr, []
+
+        def counting_qr(*args, **kwargs):
+            qr_calls.append(args[0].shape)
+            return qr(*args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
         for w in (np.zeros(2), np_rng.standard_normal(2)):
             b = random_tall(np_rng, 30, 3, scale_rows=True)
             b[:, 2] = b[:, :2] @ w
@@ -236,6 +241,9 @@ class TestBatchedIrls:
             np.testing.assert_allclose(vals[[0, 3, 5]], reduced, rtol=1e-8)
             assert np.all(np.isinf(vals[[1, 2, 4]]))
             assert vals[6] == 0.0
+            qr_calls.clear()
+            sensitivities_wrt(rows, b, p)
+            assert qr_calls == [b.shape]
 
     def test_irls_reports_status_and_iterations(self, np_rng):
         b = random_tall(np_rng, 20, 3)

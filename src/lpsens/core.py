@@ -6,6 +6,7 @@ arguments (including random sources) give bit-identical results.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -104,6 +105,12 @@ def as_vector(data) -> np.ndarray:
     return a
 
 
+def check_exponent(p) -> None:
+    """Raise ValueError unless p is finite and >= 1, as every estimator needs."""
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
+
+
 def lp_norm(v, p) -> float:
     """Entrywise l_p norm of a vector; p may be any real >= 1 or inf."""
     x = np.abs(as_vector(v))
@@ -121,25 +128,23 @@ def lp_norm(v, p) -> float:
 @dataclass(frozen=True)
 class QRResult:
     q: np.ndarray
-    r: np.ndarray
-    perm: np.ndarray
     rank: int
 
 
 def pivoted_qr(a) -> QRResult:
     """Column-pivoted thin QR with a relative-tolerance rank decision.
 
-    A[:, perm] == q @ r up to rounding; rank counts diagonal entries of r
-    above RANK_TOL times the largest one.
+    q has orthonormal columns, the first rank of which span the column space
+    of A; rank counts diagonal entries of r above RANK_TOL times the largest.
     """
     a = as_matrix(a)
-    q, r, perm = scipy.linalg.qr(a, mode="economic", pivoting=True)
+    q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] == 0.0:
         rank = 0
     else:
         rank = int(np.sum(diag > RANK_TOL * diag[0]))
-    return QRResult(q=q, r=r, perm=perm, rank=rank)
+    return QRResult(q=q, rank=rank)
 
 
 def matrix_rank(a) -> int:
@@ -158,7 +163,7 @@ class GatedMatrix(NamedTuple):
     q: np.ndarray
 
 
-def tall_full_rank_basis(a) -> GatedMatrix:
+def require_tall_full_rank(a) -> GatedMatrix:
     """Entry gate for the estimators: n >= d and full column rank.
 
     Returns the validated matrix and the q factor of the pivoted QR that
@@ -177,16 +182,6 @@ def tall_full_rank_basis(a) -> GatedMatrix:
             f"matrix has column rank {qr.rank} < {d}; estimators need full column rank"
         )
     return GatedMatrix(a, qr.q)
-
-
-def require_tall_full_rank(a) -> np.ndarray:
-    """``tall_full_rank_basis`` without the basis.
-
-    Given a ``GatedMatrix`` it returns the matrix without a QR.  The
-    estimators call it so after gating, which keeps one call per estimator
-    on the gate binding that ``perfbench/tracer.py`` counts.
-    """
-    return tall_full_rank_basis(a).a
 
 
 def pseudoinverse_gram(a) -> np.ndarray:

@@ -21,7 +21,6 @@ from .core import (
     as_matrix,
     matrix_rank,
     require_tall_full_rank,
-    tall_full_rank_basis,
 )
 from .lewis import LewisConfig, lewis_weights
 
@@ -74,8 +73,8 @@ def lp_embedding(a, p, eps: float, rng: RandomSource, weights=None) -> SamplingE
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    gated = tall_full_rank_basis(a)
-    a = require_tall_full_rank(gated)
+    gated = require_tall_full_rank(a)
+    a = gated.a
     n, d = a.shape
     if weights is None:
         weights = lewis_weights(gated, LewisConfig(p=p)).values
@@ -105,7 +104,7 @@ def linf_embedding(a) -> SamplingEmbedding:
     Deterministic; swaps a row in whenever it doubles the basis determinant.
     ``a`` may be a ``GatedMatrix``, which skips the rank gate's QR.
     """
-    a = require_tall_full_rank(a)
+    a = require_tall_full_rank(a).a
     n, d = a.shape
     # start from the d best-conditioned rows (column pivots of A^T)
     _, _, perm = scipy.linalg.qr(a.T, mode="economic", pivoting=True)

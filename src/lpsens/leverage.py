@@ -74,7 +74,7 @@ def leverage_approx(a, eps: float, rng: RandomSource) -> WeightVector:
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    a = require_tall_full_rank(a)
+    a = require_tall_full_rank(a).a
     n, d = a.shape
     r = max(int(math.ceil(8.0 * math.log(n) / (eps * eps))), d + 1)
     r = SKETCH_BLOCKS * math.ceil(r / SKETCH_BLOCKS)

@@ -17,11 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import NonConvergenceError, WeightVector, pivoted_qr, tall_full_rank_basis
-
-# neither is called here; perfbench/tracer.py wraps both names in this module
-from .core import require_tall_full_rank  # noqa: F401
-from .leverage import leverage_exact  # noqa: F401
+from .core import NonConvergenceError, WeightVector, check_exponent, require_tall_full_rank
+from .leverage import leverage_exact  # noqa: F401 - perfbench/tracer.py wraps lewis.leverage_exact
 
 _FLOOR = 1e-12  # weights are clamped here before any power is taken
 _MAX_ITERS = 200
@@ -33,10 +30,7 @@ class LewisConfig:
     p: float
 
     def __post_init__(self):
-        if not self.p >= 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
-        if np.isinf(self.p):
-            raise ValueError("Lewis weights need finite p")
+        check_exponent(self.p)
 
     @property
     def beta(self) -> float:
@@ -52,21 +46,22 @@ def lewis_weights(a, cfg: LewisConfig) -> WeightVector:
     """Fixed point of w_i = tau_i(W^(1/2 - 1/p) A), found in log space.
 
     ``a`` may be a ``GatedMatrix``; its q is then the basis, and this call
-    runs no QR of its own unless A has zero rows.
+    runs no QR of its own.
 
     Weights and scores are clamped at F = 1e-12 before they are compared:
     the residual max_i |max(w_i, F) - max(tau_i, F)| / max(w_i, F) must fall
     below _TOL = 1e-6 within _MAX_ITERS = 200 iterations; running out of
     them raises NonConvergenceError with the final residual attached.
     """
-    a, q = tall_full_rank_basis(a)
+    a, q = require_tall_full_rank(a)
     d = a.shape[1]
     # zero rows have weight exactly 0 and would pin the residual at the
-    # clamping floor forever; solve the fixed point on the live block only,
-    # in a basis of its own, so its weights are those of the live block alone
-    live = np.linalg.norm(a, axis=1) > 0.0
+    # clamping floor forever; solve the fixed point on the live block only.
+    # A zero row of A gives a row of q that is zero up to rounding, so q[live]
+    # still spans the column space of A[live]
+    live = np.any(a != 0.0, axis=1)
     if not live.all():
-        q = pivoted_qr(a[live]).q
+        q = q[live]
     n = q.shape[0]
     expo = 0.5 - 1.0 / cfg.p
     beta = cfg.beta

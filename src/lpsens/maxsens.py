@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomSource, require_tall_full_rank, tall_full_rank_basis
+from .core import RandomSource, check_exponent, require_tall_full_rank
 from .embed import linf_embedding, lp_embedding
 from .leverage import leverage_exact
 from .regress import sensitivities_wrt
@@ -30,10 +30,9 @@ class MaxSensitivityResult:
 
 def max_sensitivity(a, p, rng: RandomSource, embed_eps: float = 0.25) -> MaxSensitivityResult:
     """Estimate max_i of the lp sensitivities of the rows of ``a``."""
-    gated = tall_full_rank_basis(a)
-    a = require_tall_full_rank(gated)
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    check_exponent(p)
+    gated = require_tall_full_rank(a)
+    a = gated.a
     p = float(p)
     if p == 2.0:
         top = float(leverage_exact(gated).values.max())

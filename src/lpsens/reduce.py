@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import as_matrix, as_vector, require_tall_full_rank
+from .core import as_matrix, as_vector, check_exponent, require_tall_full_rank
 from .regress import sensitivities_wrt
 
 
@@ -29,13 +29,12 @@ def regression_via_sensitivity(a, b, p, lam=None) -> float:
     The value is exact (up to the sensitivity solver's tolerance) for every
     lam > 0; lam only affects conditioning.
     """
-    a = require_tall_full_rank(a)
+    a = require_tall_full_rank(a).a
     b = as_vector(b)
     n, d = a.shape
     if b.size != n:
         raise ValueError(f"b has {b.size} entries, expected {n}")
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    check_exponent(p)
     if lam is None:
         lam = default_anchor_scale(a)
     lam = float(lam)
@@ -65,8 +64,7 @@ def leave_one_out_multiregression(a, p, lam=None) -> np.ndarray:
     """
     a = as_matrix(a)
     n, d = a.shape
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    check_exponent(p)
     if lam is None:
         lam = default_anchor_scale(a)
     lam = float(lam)

@@ -50,9 +50,9 @@ from .core import (
     WeightVector,
     as_matrix,
     as_vector,
+    check_exponent,
     pseudoinverse_gram,
     require_tall_full_rank,
-    tall_full_rank_basis,
 )
 from .leverage import leverage_exact
 
@@ -175,8 +175,15 @@ def _minimize(B, A, p):
     run ``_min_lp_irls``, each row on its own numbers.  Returns per-row arrays
     (x_opt, value, converged, iterations), iterations being Newton steps
     (HiGHS iterations on a p = 1 row HiGHS solves) and 0 without a solve.
+
+    B and A are first scaled by 2^-e, e the binary exponent of B's largest
+    entry, and x by the same factor at the end: that is exact in floating
+    point and keeps B x and a @ x, while the factorizations and solves see
+    entries of order one, so a result does not depend on the input's scale.
     """
     K, d = A.shape
+    e = np.frexp(np.abs(B).max())[1]
+    B, A = np.ldexp(B, -e), np.ldexp(A, -e)
     R = np.linalg.qr(B, mode="r")  # R^T R = B^T B; cheaper to factor than B
     _, sv, vt = np.linalg.svd(R, full_matrices=False)
     V = vt[sv > RANK_TOL * sv[0]]
@@ -203,7 +210,7 @@ def _minimize(B, A, p):
         else:
             y, value[rest], converged[rest], iterations[rest] = _min_lp_irls(B, inner, p)
         x[rest] = np.einsum("ik,kj->ij", y, V) if reduced else y
-    return x, value, converged, iterations
+    return np.ldexp(x, -e), value, converged, iterations
 
 
 @dataclass(frozen=True)
@@ -436,8 +443,7 @@ def _check_columns_and_p(B, other, name, p):
         raise ValueError(
             f"shape mismatch: B has {B.shape[1]} columns, {name} has {other.shape[-1]}"
         )
-    if not 1 <= p < math.inf:
-        raise ValueError(f"p must be finite and >= 1, got {p}")
+    check_exponent(p)
 
 
 def min_lp_on_hyperplane(B, a, p) -> RegressionSolution:
@@ -504,8 +510,8 @@ def sensitivities_exact(A, p) -> WeightVector:
 
     At p = 2 these are the leverage scores, read off the rank gate's QR.
     """
-    gated = tall_full_rank_basis(A)
-    A = require_tall_full_rank(gated)
+    gated = require_tall_full_rank(A)
+    A = gated.a
     if p == 2:
         lev = leverage_exact(gated)
         return WeightVector(values=lev.values, kind="sensitivity", p=2.0)

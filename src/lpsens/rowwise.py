@@ -22,9 +22,9 @@ import numpy as np
 from .core import (
     RandomSource,
     WeightVector,
+    check_exponent,
     require_tall_full_rank,
     store_integral_fields,
-    tall_full_rank_basis,
 )
 from .embed import lp_embedding
 from .regress import sensitivities_wrt
@@ -40,8 +40,7 @@ class RowwiseConfig:
 
     def __post_init__(self):
         store_integral_fields(self, "alpha", "signs_per_block", "repetitions")
-        if not self.p >= 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        check_exponent(self.p)
         if self.alpha < 1:
             raise ValueError("alpha must be at least 1")
         if self.signs_per_block < 1:
@@ -72,8 +71,8 @@ def random_blocks(n: int, alpha: int, rng: RandomSource) -> list[np.ndarray]:
 
 def sensitivities_rowwise(a, cfg: RowwiseConfig, rng: RandomSource) -> RowwiseResult:
     """Estimate every row's lp sensitivity from block sign combinations."""
-    gated = tall_full_rank_basis(a)
-    a = require_tall_full_rank(gated)
+    gated = require_tall_full_rank(a)
+    a = gated.a
     n, d = a.shape
     if cfg.alpha >= n:
         raise ValueError(f"alpha must be smaller than the row count {n}")

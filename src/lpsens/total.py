@@ -20,10 +20,10 @@ import numpy as np
 from .core import (  # noqa: F401 - perfbench/tracer.py wraps total.pseudoinverse_gram
     RandomSource,
     as_matrix,
+    check_exponent,
     pseudoinverse_gram,
     require_tall_full_rank,
     store_integral_fields,
-    tall_full_rank_basis,
 )
 from .embed import lp_embedding
 from .leverage import leverage_exact
@@ -45,8 +45,7 @@ class TotalConfig:
 
     def __post_init__(self):
         store_integral_fields(self, "base_size", "r_override")
-        if not self.p >= 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        check_exponent(self.p)
         if not 0.01 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0.01, 1), got {self.gamma}")
         if self.method not in _METHODS:
@@ -84,8 +83,8 @@ class OneShotTotal:
     """
 
     def __init__(self, a, cfg: TotalConfig, rng: RandomSource):
-        gated = tall_full_rank_basis(a)
-        a = require_tall_full_rank(gated)
+        gated = require_tall_full_rank(a)
+        a = gated.a
         n, d = a.shape
         self.a = a
         self.p = float(cfg.p)
@@ -202,8 +201,8 @@ def total_recursive_l1(a, cfg: TotalConfig, rng: RandomSource) -> float:
     """
     if cfg.p != 1:
         raise ValueError("the recursive estimator is specific to p = 1")
-    gated = tall_full_rank_basis(a)
-    a = require_tall_full_rank(gated)
+    gated = require_tall_full_rank(a)
+    a = gated.a
     n, d = a.shape
 
     depth_cap = _depth_cap(n, d)

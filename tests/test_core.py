@@ -77,7 +77,9 @@ class TestRank:
         a = np_rng.standard_normal((20, 4))
         res = pivoted_qr(a)
         assert res.rank == 4
-        np.testing.assert_allclose(res.q @ res.r, a[:, res.perm], atol=1e-10)
+        assert res.q.shape == (20, 4)
+        np.testing.assert_allclose(res.q.T @ res.q, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(res.q @ (res.q.T @ a), a, atol=1e-10)
 
     def test_require_tall_full_rank(self, np_rng):
         with pytest.raises(RankDeficientError):
@@ -86,7 +88,8 @@ class TestRank:
             require_tall_full_rank(np_rng.standard_normal((3, 5)))
         a = np_rng.standard_normal((5, 3))
         out = require_tall_full_rank(a)
-        assert out.shape == (5, 3)
+        assert out.a.shape == (5, 3)
+        assert require_tall_full_rank(out) is out
 
     def test_pseudoinverse_gram_vs_numpy(self, np_rng):
         a = np_rng.standard_normal((25, 4))

@@ -84,3 +84,23 @@ _GATED = dict(
 def test_every_gated_entry_rejects_rank_deficient_input(np_rng, make, entry):
     with pytest.raises(L.RankDeficientError):
         _GATED[entry](make(np_rng), L.RandomSource(0))
+
+
+_EXPONENT_CHECKS = {
+    "LewisConfig": lambda a, p: L.LewisConfig(p=p),
+    "RowwiseConfig": lambda a, p: L.RowwiseConfig(p=p, alpha=2),
+    "TotalConfig": lambda a, p: L.TotalConfig(p=p, gamma=0.5),
+    "max_sensitivity": lambda a, p: L.max_sensitivity(a, p, L.RandomSource(0)),
+    "regression": lambda a, p: L.regression_via_sensitivity(a, np.ones(a.shape[0]), p),
+    "leave_one_out": lambda a, p: L.leave_one_out_multiregression(a, p),
+    "sensitivities_wrt": lambda a, p: L.sensitivities_wrt(a, a, p),
+}
+
+
+@pytest.mark.parametrize("p", [0.5, np.inf, np.nan])
+@pytest.mark.parametrize("entry", list(_EXPONENT_CHECKS))
+def test_every_exponent_check_rejects_p_outside_one_to_inf(np_rng, entry, p):
+    # max_sensitivity checks p before its rank gate: the wide input is not reached
+    a = _wide(np_rng) if entry == "max_sensitivity" else random_tall(np_rng, 20, 3)
+    with pytest.raises(ValueError, match="p must be finite and >= 1"):
+        _EXPONENT_CHECKS[entry](a, p)

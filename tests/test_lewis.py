@@ -105,6 +105,32 @@ class TestFixedPoint:
         live = np.array([True, True, False, False, True])
         np.testing.assert_array_equal(w[live], lewis_weights(a[live], LewisConfig(p=1)).values)
 
+    def test_zero_rows_reuse_the_gate_qr(self, np_rng, monkeypatch):
+        import scipy.linalg
+
+        a = random_tall(np_rng, 60, 4, scale_rows=True)
+        a[[5, 17]] = 0.0
+        qr, calls = scipy.linalg.qr, []
+
+        def counting_qr(x, *args, **kwargs):
+            calls.append(np.shape(x))
+            return qr(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
+        w = lewis_weights(a, LewisConfig(p=1.5)).values
+        assert calls == [a.shape]
+        assert w[5] == 0.0 and w[17] == 0.0 and w.sum() == pytest.approx(4.0, abs=1e-5)
+
+    def test_power_of_two_scale_keeps_the_weights(self, np_rng):
+        # a norm of a row of 2^-560 A underflows to 0; the row is still live
+        a = random_tall(np_rng, 50, 3, scale_rows=True)
+        for p in (1.0, 1.5, 3.0):
+            np.testing.assert_allclose(
+                lewis_weights(2.0**-560 * a, LewisConfig(p=p)).values,
+                lewis_weights(a, LewisConfig(p=p)).values,
+                rtol=1e-12,
+            )
+
     def test_scores_below_the_floor_do_not_pin_the_residual(self):
         # rows scaled by 10^U(-3, 3) (p >= 3) or 10^U(-6, 6) (every p) get
         # scores under the 1e-12 floor while their weights sit clamped at it

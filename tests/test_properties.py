@@ -91,6 +91,9 @@ def test_unchanged_by_permuting_b_or_scaling_m_and_b_together(seed, d, p):
     np.testing.assert_allclose(sensitivities_wrt(m, shuffled, p), ref, rtol=1e-8)
     c = float(np.exp(gen.uniform(-3.0, 3.0)))
     np.testing.assert_allclose(sensitivities_wrt(c * m, c * b, p), ref, rtol=1e-8)
+    # a power of two scales exactly, so even an extreme one keeps every bit
+    t = 2.0 ** int(gen.integers(-900, 901))
+    np.testing.assert_array_equal(sensitivities_wrt(t * m, t * b, p), ref)
 
 
 @PROPERTY

@@ -73,6 +73,11 @@ class TestStructure:
         assert 0 < sol.iterations < len(regress._DELTAS) * regress._MAX_INNER
 
 
+def as_solved(B, X):
+    """X as ``_minimize`` hands it to its solvers: times 2^-e, e the exponent of B's largest entry."""
+    return np.ldexp(X, -np.frexp(np.abs(B).max())[1])
+
+
 def assert_same_bits(B, A, i, batch):
     alone = regress._minimize(B, A[i : i + 1], 1)
     for got, want in zip(batch, alone):
@@ -101,10 +106,10 @@ class TestStack:
         base = g.standard_normal((12, 3))
         B = np.vstack([base, base[:4], 2.0 * base[4:6]])
         A = np.vstack([base[:6], g.standard_normal((4, 3))])
-        alone, certify_alone = [], regress._certify_alone
+        alone, certify_alone, solved = [], regress._certify_alone, as_solved(B, A)
 
         def spy(B, a, r):
-            alone.append(int(np.flatnonzero((A == a).all(axis=1))[0]))
+            alone.append(int(np.flatnonzero((solved == a).all(axis=1))[0]))
             return certify_alone(B, a, r)
 
         monkeypatch.setattr(regress, "_certify_alone", spy)
@@ -121,13 +126,14 @@ def test_failed_dual_recovery_reroutes_that_row_alone(np_rng, monkeypatch):
     b = random_tall(np_rng, 30, 3, scale_rows=True)
     rows = np_rng.standard_normal((6, 3))
     clean = sensitivities_wrt(rows, b, 1)
+    row_2 = as_solved(b, rows[2])
     crossover, certify_alone, real_solve_lp = (
         regress._crossover, regress._certify_alone, regress.solve_lp
     )
 
     def reject_row_2(B, A, r):
         certified, x, value = crossover(B, A, r)
-        return certified & ~(A == rows[2]).all(axis=1), x, value
+        return certified & ~(A == row_2).all(axis=1), x, value
 
     rerouted = []
 
@@ -138,11 +144,11 @@ def test_failed_dual_recovery_reroutes_that_row_alone(np_rng, monkeypatch):
     monkeypatch.setattr(regress, "_crossover", reject_row_2)
     monkeypatch.setattr(
         regress, "_certify_alone",
-        lambda B, a, r: None if np.array_equal(a, rows[2]) else certify_alone(B, a, r),
+        lambda B, a, r: None if np.array_equal(a, row_2) else certify_alone(B, a, r),
     )
     monkeypatch.setattr(regress, "solve_lp", highs)
     vals = sensitivities_wrt(rows, b, 1)
-    assert len(rerouted) == 1 and np.array_equal(rerouted[0], rows[2])
+    assert len(rerouted) == 1 and np.array_equal(rerouted[0], row_2)
     assert np.array_equal(np.delete(vals, 2), np.delete(clean, 2))
     for row, val in zip(rows, vals):
         ref_val, _ = min_l1_on_hyperplane_linprog(b, row)

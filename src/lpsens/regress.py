@@ -5,28 +5,21 @@ The quantity everything reduces to is
     min ||B x||_p^p   subject to   a @ x = 1,
 
 whose reciprocal is the sensitivity of the row ``a`` with respect to ``B``.
-One private dispatcher, ``_minimize``, solves it for a stack of rows.  It
-first decides, from B alone and so alike for every p, which rows leave the
-row space of B: their minimum is 0, at a null vector of B, and costs no
-solve.  Of the rest, p = 2 has a closed form in the Gram pseudoinverse.  At
-any other p a rank-deficient B is solved once in the coordinates of its row
-space, where it has full column rank; there d = 1 forces x = 1 / a, and
-every other case runs one driver, ``_min_lp_irls``: iteratively reweighted
-least squares (IRLS) on a smoothed objective.  The weights are Newton's: each
-iteration weights the least-squares system by the smoothed objective's
-second derivative and solves it for a step, halved until the objective falls
-enough, so a row converges quadratically once near its minimum.
-``min_lp_on_hyperplane`` is the one-row case and reports a solve that ran
-out of iterations; ``sensitivities_wrt`` raises NonConvergenceError instead.
+One private dispatcher, ``_minimize``, solves it for a stack of rows: a row
+outside the row space of B has minimum 0 at no solve, p = 2 and d = 1 have
+closed forms, and every other case runs one driver, ``_min_lp_irls``:
+iteratively reweighted least squares (IRLS) with Newton's weights on a
+smoothed objective.  ``min_lp_on_hyperplane`` is the one-row case and reports
+a solve that ran out of iterations; ``sensitivities_wrt`` raises
+NonConvergenceError instead.
 
 At p = 1 the problem is a linear program, and IRLS only leads the way to its
-optimal vertex.  After each smoothing stage a crossover takes the d - 1 rows
-of B with the smallest residuals, solves for the vertex where they vanish
-and for the dual multipliers of that vertex.  Multipliers in [-1, 1] prove
-the vertex optimal by weak duality: the row retires with it and with its
-exact value.  After the last stage the rows still open get the crossover
-once more, alone, with a vertex that survives repeated rows and a dual that
-survives degenerate vertices; scipy's HiGHS solves whatever is left.
+optimal vertex.  After each smoothing stage one stacked crossover takes the
+d - 1 rows of B with the smallest residuals, solves for the vertex where
+they vanish and for its dual multipliers; multipliers in [-1, 1] prove it
+optimal by weak duality, and the row retires with its exact value.  Repeated
+rows and vertices where more residuals vanish get an independent set of rows
+and a zero-set dual in the same pass.  HiGHS solves any row still open.
 
 IRLS eliminates each row's hyperplane into one entry of a stack of
 (m, d - 1) matrices, and every iteration forms and solves the Newton systems
@@ -106,7 +99,11 @@ def _newton_step(M, grad, curv=None):
     """
     CM = M if curv is None else M * curv[:, :, None]
     G = np.matmul(M.transpose(0, 2, 1), CM)
-    return _solve(G, -_matvec(M.transpose(0, 2, 1), grad))
+    rhs = -_matvec(M.transpose(0, 2, 1), grad)
+    step, singular = _solve(G, rhs)
+    for i in singular:
+        step[i] = np.linalg.lstsq(G[i], rhs[i], rcond=None)[0]
+    return step
 
 
 def _smoothed(r, d2, p):
@@ -126,24 +123,18 @@ def _smoothed_derivatives(r, d2, p):
     return r * s * t, ((p - 1.0) * r2 + d2) * t
 
 
-def _solve(G, rhs, lstsq=True):
-    """Solve every G[i] z = rhs[i]; singular entries are redone alone.
-
-    A singular entry falls back to least squares, or with ``lstsq`` off
-    comes back as nan.  Other entries keep their bits either way.
-    """
+def _solve(G, rhs):
+    """Solve every G[i] z = rhs[i] as one stack.  Returns z and the entries
+    whose LU met an exactly zero pivot: those come back nan, and every other
+    entry keeps the bits it gets alone."""
     try:
-        return np.linalg.solve(G, rhs[..., None])[..., 0]
+        return np.linalg.solve(G, rhs[..., None])[..., 0], ()
     except np.linalg.LinAlgError:
-        pass  # redo entry by entry, through the same stacked call, so others keep their bits
-    z = np.full(rhs.shape, np.nan)
-    for i in range(G.shape[0]):
-        try:
-            z[i] = np.linalg.solve(G[i : i + 1], rhs[i : i + 1, :, None])[0, :, 0]
-        except np.linalg.LinAlgError:
-            if lstsq:
-                z[i] = np.linalg.lstsq(G[i], rhs[i], rcond=None)[0]
-    return z
+        pass  # det runs the same LU per entry and is 0.0 exactly where solve failed
+    z, ok = np.full(rhs.shape, np.nan), np.linalg.det(G) != 0.0
+    if ok.any():
+        z[ok] = np.linalg.solve(G[ok], rhs[ok, :, None])[..., 0]
+    return z, np.flatnonzero(~ok)
 
 
 _DELTAS = 10.0 ** np.arange(-2.0, -11.0, -1.0)  # 1e-2 geometrically down to 1e-10
@@ -152,12 +143,6 @@ _CERT_TOL = 1e-9  # round-off a p = 1 vertex certificate allows, relative
 # float64 entries of one stack of eliminated matrices; rows are solved in
 # chunks of this size, which bounds working memory at a few times it
 _CHUNK_ELEMENTS = 1 << 21
-
-
-def _chunks(K, per_row):
-    """Slices of range(K), each of at most _CHUNK_ELEMENTS // per_row rows (at least one)."""
-    step = max(1, _CHUNK_ELEMENTS // per_row)
-    return [slice(s, s + step) for s in range(0, K, step)]
 
 
 def _minimize(B, A, p):
@@ -247,84 +232,106 @@ def solve_lp(B, a) -> LPResult:
     return LPResult(x=x, value=float(np.abs(B @ x).sum()), pivots=int(res.nit))
 
 
-def _crossover(B, A, r):
+def _crossover(B, A, key, cut, last):
     """Certify, for every row a of A, the vertex its residuals r point to.
 
-    S is the d - 1 rows of B with the smallest |r|, in index order.  The
-    vertex x solves [a; B_S] x = e_1.  With v_N = sign(B_N x) on the other
-    rows, the transposed system B_S^T v_S - lam a = -B_N^T v_N gives the
-    rest of a dual point v: B^T v = lam a.  When |v| <= 1, weak duality
-    makes lam a lower bound on min ||B x||_1 and ||B x||_1 is an upper one;
-    the row is certified when |v_S| <= 1 and the two bounds agree, both up
-    to _CERT_TOL.  A singular [a; B_S] certifies nothing.  Returns per-row
-    arrays (certified, x, ||B x||_1).
+    S is the d - 1 rows of B of smallest ``key`` (|r|, inf on rows parallel
+    to a), in index order, and the vertex x solves [a; B_S] x = e_1.  With
+    v_N = sign(B_N x) off S, B_S^T v_S - lam a = -B_N^T v_N gives the rest
+    of a dual point v: B^T v = lam a.  When |v| <= 1, weak duality makes lam
+    a lower bound on min ||B x||_1 and ||B x||_1 is an upper one; the row is
+    certified when |v_S| <= 1 and the two bounds agree, up to _CERT_TOL.
+    They disagree where [a; B_S] is singular or nearly so (two of the
+    smallest |r| copy one row, say).  Those rows, and at the ``last`` delta
+    every open row, retry with the S of ``_independent_rows`` and, where
+    more than d - 1 residuals vanish (|B_j x| <= cut_j ||x||), with
+    ``_zero_set_dual``.  Returns per-row arrays (certified, x, ||B x||_1).
     """
+    d = A.shape[1]
+    S = np.sort(np.argpartition(key, d - 2, axis=1)[:, : d - 1], axis=1)
+    certified, agree, x, res, value = _vertex(B, A, S)
+    again = np.flatnonzero(~certified if last else ~agree)
+    if again.size == 0:
+        return certified, x, value
+    S[again], found = _independent_rows(B, A[again], key[again], cut)
+    again = again[found]  # an unchanged S solves the same systems to the same bits
+    certified[again], _, x[again], res[again], value[again] = _vertex(B, A[again], S[again])
+    again = again[~certified[again]]
+    zero = np.abs(res[again]) <= np.linalg.norm(x[again], axis=1)[:, None] * cut
+    more = np.count_nonzero(zero, axis=1) > d - 1
+    i, zero = again[more], zero[more]
+    np.put_along_axis(zero, S[i], True, axis=1)
+    certified[i] = _zero_set_dual(B, A[i], res[i], value[i], zero)
+    return certified, x, value
+
+
+def _vertex(B, A, S):
+    """``_crossover``'s vertex and square dual: per-row arrays (certified,
+    bounds agree, x (nan where [a; B_S] is singular), B x, ||B x||_1)."""
     K, d = A.shape
-    S = np.sort(np.argpartition(np.abs(r), d - 2, axis=1)[:, : d - 1], axis=1)
     vertex = np.empty((K, d, d))
     vertex[:, 0], vertex[:, 1:] = A, B[S]
-    e1 = np.zeros((K, d))
-    e1[:, 0] = 1.0
-    x = _solve(vertex, e1, lstsq=False)  # nan where [a; B_S] is singular
+    x, _ = _solve(vertex, np.eye(1, d).repeat(K, axis=0))  # e_1 per row
     res = np.matmul(B, x[:, :, None])[:, :, 0]
     value = np.sum(np.abs(res), axis=1)
     v = np.sign(res)
     np.put_along_axis(v, S, 0.0, axis=1)
-    dual = _solve(vertex.transpose(0, 2, 1), -np.matmul(v[:, None, :], B)[:, 0], lstsq=False)
-    certified = (np.abs(dual[:, 1:]).max(axis=1) <= 1.0 + _CERT_TOL) & (
-        np.abs(value + dual[:, 0]) <= _CERT_TOL * value
-    )
-    return certified, x, value
+    dual, _ = _solve(vertex.transpose(0, 2, 1), -np.matmul(v[:, None, :], B)[:, 0])
+    agree = np.abs(value + dual[:, 0]) <= _CERT_TOL * value
+    return agree & (np.abs(dual[:, 1:]).max(axis=1) <= 1.0 + _CERT_TOL), agree, x, res, value
 
 
-def _certify_alone(B, a, r):
-    """``_crossover`` for one row, robust to degenerate vertices.
+def _independent_rows(B, A, key, cut):
+    """Per row a of A, the d - 1 rows of B of smallest ``key`` that are each
+    independent of a and of the rows taken before them.
 
-    S takes rows of B by ascending |r|, each only if it is independent of a
-    and of the rows already taken, so repeated rows cannot make the vertex
-    singular.  At the vertex x every row of S vanishes, and maybe more: the
-    dual point keeps v = sign(B x) off the zero set Z and solves
+    Two Gram-Schmidt passes against the basis so far leave w of B_j, and
+    B_j is taken when ||w|| > cut_j = _CERT_TOL ||B_j||, so repeated rows
+    cannot make [a; B_S] singular.  All rows walk as one stack.  Returns S,
+    in index order, and whether each row found d - 1.
+    """
+    K, d = A.shape
+    order = np.argsort(key, axis=1, kind="stable")
+    basis = np.zeros((K, d, d))  # rows not filled yet are zero and project nothing
+    basis[:, 0] = A / np.linalg.norm(A, axis=1)[:, None]
+    S, taken = np.zeros((K, d - 1), dtype=np.intp), np.zeros(K, dtype=np.intp)
+    walking = np.arange(K)
+    for t in range(B.shape[0]):
+        j, q = order[walking, t], basis[walking]
+        w = B[j] - _matvec(q.transpose(0, 2, 1), _matvec(q, B[j]))
+        w -= _matvec(q.transpose(0, 2, 1), _matvec(q, w))  # twice is enough
+        norm = np.sqrt(np.einsum("ij,ij->i", w, w))
+        ok = norm > cut[j]
+        i, n = walking[ok], taken[walking[ok]]
+        basis[i, n + 1], S[i, n] = w[ok] / norm[ok, None], j[ok]
+        taken[i] += 1
+        walking = walking[taken[walking] < d - 1]
+        if walking.size == 0:
+            break
+    return np.sort(S, axis=1), taken == d - 1
+
+
+def _zero_set_dual(B, A, res, value, zero):
+    """Certify vertices x whose residuals vanish on the zero set Z.
+
+    The dual point keeps v = sign(B x) off Z and solves
     B_Z^T v_Z = lam a - B_N^T v_N, lam = ||B x||_1, by least squares, fixing
     each entry that leaves [-1, 1] at +-1 and solving again for the rest.
     The vertex is optimal when that v_Z solves the system, up to _CERT_TOL.
-    Returns (x, ||B x||_1), or None.
+    Each row's system spans all m rows of B, zero off Z: its own in any batch.
     """
-    d = B.shape[1]
-    basis = np.empty((d, d))
-    basis[0] = a / np.linalg.norm(a)
-    S = []
-    for j in np.argsort(np.abs(r), kind="stable"):
-        q = basis[: len(S) + 1]
-        w = B[j] - (q @ B[j]) @ q
-        w -= (q @ w) @ q  # twice is enough (Gram-Schmidt)
-        norm = np.linalg.norm(w)
-        if norm > _CERT_TOL * np.linalg.norm(B[j]):
-            basis[len(S) + 1] = w / norm
-            S.append(j)
-            if len(S) == d - 1:
-                break
-    if len(S) < d - 1:
-        return None
-    S = np.sort(S)
-    try:
-        x = np.linalg.solve(np.vstack([a, B[S]]), np.eye(d)[0])
-    except np.linalg.LinAlgError:
-        return None
-    res = B @ x
-    value = float(np.abs(res).sum())
-    zero = np.abs(res) <= _CERT_TOL * np.linalg.norm(B, axis=1) * np.linalg.norm(x)
-    zero[S] = True
-    G, h = B[zero].T, value * a - B[~zero].T @ np.sign(res[~zero])
-    v, fixed = np.zeros(G.shape[1]), np.zeros(G.shape[1], dtype=bool)
-    while not fixed.all():  # least squares; entries beyond [-1, 1] are fixed at +-1
-        v[~fixed] = np.linalg.lstsq(G[:, ~fixed], h - G[:, fixed] @ v[fixed], rcond=None)[0]
-        over = np.abs(v) > 1.0
-        if not over.any():
-            break
-        v[over], fixed = np.sign(v[over]), fixed | over
-    if np.all(np.abs(G @ v - h) <= _CERT_TOL * (np.abs(B).sum(axis=0) + value * np.abs(a))):
-        return x, value
-    return None
+    h = value[:, None] * A - np.matmul(np.where(zero, 0.0, np.sign(res))[:, None, :], B)[:, 0]
+    G = B.T * zero[:, None, :]  # B_Z^T per row
+    v, fixed, solving = np.zeros(zero.shape), ~zero, np.arange(A.shape[0])  # v is 0 off Z
+    while solving.size:
+        free, Gs, vs = ~fixed[solving], G[solving], v[solving]
+        rhs = h[solving] - _matvec(Gs, np.where(free, 0.0, vs))
+        vs = np.where(free, _matvec(np.linalg.pinv(Gs * free[:, None, :]), rhs), vs)
+        over = np.abs(vs) > 1.0
+        v[solving], fixed[solving] = np.where(over, np.sign(vs), vs), fixed[solving] | over
+        solving = solving[over.any(axis=1) & ~fixed[solving].all(axis=1)]
+    tol = _CERT_TOL * (np.abs(B).sum(axis=0) + value[:, None] * np.abs(A))
+    return np.all(np.abs(_matvec(G, v) - h) <= tol, axis=1)
 
 
 def _min_lp_irls(B, A, p):
@@ -339,33 +346,21 @@ def _min_lp_irls(B, A, p):
     objective falls by a quarter of the decrease its slope predicts.  A row
     finishes a delta when one step changes the objective by at most 1e-11
     relative, and is reported not converged when it does not finish the last
-    delta within _MAX_INNER steps.  Rows retire independently, so every
-    row's result is bit-identical to solving it alone.  B has full column
-    rank, A no zero rows and d >= 2.
+    delta within _MAX_INNER steps.  B has full column rank, A no zero rows
+    and d >= 2.
 
     At p = 1 the open rows try ``_crossover`` after each delta, and a row it
-    certifies retires for good with the vertex and its value.  A row still
-    open after the last delta gets ``_certify_alone`` from its last IRLS
-    point, and HiGHS if that fails too, so every row converges; iterations
-    then count HiGHS's iterations on a row HiGHS solves.
-
-    Returns per-row arrays (x_opt, value, converged, iterations).
+    certifies retires for good with the vertex and its value.  HiGHS solves
+    a row still open after the last delta, so every row converges, and its
+    iterations count HiGHS's.  Returns per-row arrays (x_opt, value,
+    converged, iterations).
     """
     K, d = A.shape
-    x = np.empty((K, d))
-    value = np.empty(K)
-    converged = np.empty(K, dtype=bool)
-    iterations = np.empty(K, dtype=np.intp)
-    for part in _chunks(K, B.shape[0] * (d - 1)):
+    x, value = np.empty((K, d)), np.empty(K)
+    converged, iterations = np.empty(K, dtype=bool), np.empty(K, dtype=np.intp)
+    step = max(1, _CHUNK_ELEMENTS // (B.shape[0] * (d - 1)))  # rows per chunk
+    for part in (slice(s, s + step) for s in range(0, K, step)):
         x[part], value[part], converged[part], iterations[part] = _irls_chunk(B, A[part], p)
-    if p == 1:
-        for i in np.flatnonzero(~converged):
-            vertex = _certify_alone(B, A[i], B @ x[i])
-            if vertex is None:
-                lp = solve_lp(B, A[i])
-                vertex, iterations[i] = (lp.x, lp.value), lp.pivots
-            x[i], value[i] = vertex
-        converged[:] = True
     return x, value, converged, iterations
 
 
@@ -382,6 +377,9 @@ def _irls_chunk(B, A, p):
         # smooth each row relative to its largest starting residual: the path
         # then does not depend on the scale of B or a
         scale = np.abs(r).max(axis=1, keepdims=True)
+        cut = _CERT_TOL * np.linalg.norm(B, axis=1)
+        # inf where B_j is parallel to a: B_j x = t (a @ x) = t never vanishes
+        shut = np.where((M * M) @ np.ones(M.shape[2]) <= cut * cut, np.inf, 0.0)
         M, c, r = M / scale[:, :, None], c / scale, r / scale
     for delta in _DELTAS:
         d2 = delta * delta
@@ -422,19 +420,21 @@ def _irls_chunk(B, A, p):
                     break
         z[act], r[act] = za, ra
         if p == 1:
-            ok, x_ok, value_ok = _crossover(B, A[todo], r)
+            last = delta == _DELTAS[-1]
+            ok, x_ok, value_ok = _crossover(B, A[todo], np.abs(r) + shut, cut, last)
             x[todo[ok]], value[todo[ok]], converged[todo[ok]] = x_ok[ok], value_ok[ok], True
             if ok.any():
                 keep = ~ok
-                todo, M, c, z, r = todo[keep], M[keep], c[keep], z[keep], r[keep]
+                todo, M, c, z, r, shut = todo[keep], M[keep], c[keep], z[keep], r[keep], shut[keep]
                 if todo.size == 0:
                     break
 
-    x[todo] = _assemble(z, A[todo], k[todo], rest[todo])
-    if p == 1:  # not certified: _min_lp_irls finishes these rows from x
-        converged[todo] = False
-    else:
+    if p != 1:
+        x[todo] = _assemble(z, A[todo], k[todo], rest[todo])
         value[todo] = np.sum(np.abs(r) ** p, axis=1)
+    for i in todo if p == 1 else ():  # no vertex certified: HiGHS
+        lp = solve_lp(B, A[i])
+        x[i], value[i], converged[i], iterations[i] = lp.x, lp.value, True, lp.pivots
     return x, value, converged, iterations
 
 
@@ -511,9 +511,5 @@ def sensitivities_exact(A, p) -> WeightVector:
     At p = 2 these are the leverage scores, read off the rank gate's QR.
     """
     gated = require_tall_full_rank(A)
-    A = gated.a
-    if p == 2:
-        lev = leverage_exact(gated)
-        return WeightVector(values=lev.values, kind="sensitivity", p=2.0)
-    vals = sensitivities_wrt(A, A, p)
+    vals = leverage_exact(gated).values if p == 2 else sensitivities_wrt(gated.a, gated.a, p)
     return WeightVector(values=vals, kind="sensitivity", p=float(p))

@@ -6,8 +6,8 @@ total against the embedded matrix.  ``total_recursive_l1`` is the l1
 specialist: it splits rows into leverage buckets, uniformly subsamples each
 bucket (values within a bucket are within a bounded ratio, so uniform
 sampling is safe), and recurses until blocks are small enough to add up
-directly.  ``bounded_ratio_mean`` is that uniform-sampling primitive on its
-own.
+directly; its default base size makes every practical n one such block.
+``bounded_ratio_mean`` is that uniform-sampling primitive on its own.
 """
 
 from __future__ import annotations
@@ -197,7 +197,10 @@ def total_recursive_l1(a, cfg: TotalConfig, rng: RandomSource) -> float:
     Rows with negligible leverage are dropped and compensated by an n^-5
     term; the rest are bucketed by leverage against a constant-accuracy
     embedding, subsampled uniformly per bucket, and recursed.  The returned
-    value carries the (1 + gamma) safety factor.
+    value carries the (1 + gamma) safety factor.  The default base size,
+    c max(c, sqrt(d)) with c = depth_cap^4 / gamma^2, is 4.1e7 rows at
+    112 x 4 and 2.4e8 at 25000 x 16 (gamma = 0.2) and exceeds every n below
+    about 1.7e6 at any gamma < 1: so every practical n is one base case.
     """
     if cfg.p != 1:
         raise ValueError("the recursive estimator is specific to p = 1")

@@ -94,6 +94,8 @@ def test_unchanged_by_permuting_b_or_scaling_m_and_b_together(seed, d, p):
     # a power of two scales exactly, so even an extreme one keeps every bit
     t = 2.0 ** int(gen.integers(-900, 901))
     np.testing.assert_array_equal(sensitivities_wrt(t * m, t * b, p), ref)
+    # every row of B twice doubles ||B x||_p^p and halves each sensitivity
+    np.testing.assert_allclose(sensitivities_wrt(m, np.vstack([b, b]), p), ref / 2, rtol=1e-8)
 
 
 @PROPERTY

@@ -365,12 +365,11 @@ class TestBatchedLp:
 
         crossover, solve_lp = regress._crossover, regress.solve_lp
 
-        def reject(B, A, r):
-            certified, x, value = crossover(B, A, r)
+        def reject(B, A, key, cut, last):
+            certified, x, value = crossover(B, A, key, cut, last)
             return np.zeros_like(certified), x, value
 
         monkeypatch.setattr(regress, "_crossover", reject)
-        monkeypatch.setattr(regress, "_certify_alone", lambda B, a, r: None)
         b = random_tall(np_rng, 30, 3, scale_rows=True)
         rows = np_rng.standard_normal((6, 3))
         vals = self.assert_batch_invariant(rows, b, monkeypatch, np_rng)
@@ -410,30 +409,57 @@ class TestBatchedLp:
             ref_val, _ = min_l1_on_hyperplane_linprog(b, row)
             assert val == pytest.approx(1.0 / ref_val, rel=1e-9)
 
+    @pytest.mark.parametrize("name", ["duplicated", "integer"])
+    def test_degenerate_rows_retire_inside_the_stacked_crossover(self, monkeypatch, name):
+        # repeated rows and vertices where more than d - 1 residuals vanish:
+        # the walked vertex and the zero-set dual certify every row inside the
+        # delta loop, so none is left for HiGHS
+        import lpsens.regress as regress
+
+        b = self.degenerate_matrix(name)
+        crossover, certified = regress._crossover, []
+
+        def spy(B, A, key, cut, last):
+            ok, x, value = crossover(B, A, key, cut, last)
+            certified.append(np.count_nonzero(ok))
+            return ok, x, value
+
+        def no_highs(B, a):
+            raise AssertionError("solve_lp called")
+
+        monkeypatch.setattr(regress, "_crossover", spy)
+        monkeypatch.setattr(regress, "solve_lp", no_highs)
+        sensitivities_wrt(b, b, 1)
+        assert sum(certified) == np.count_nonzero(np.any(b != 0.0, axis=1))
+
     @pytest.mark.parametrize("kind", ["integer", "gaussian"])
     def test_certificates_accept_only_optimal_vertices(self, np_rng, kind):
-        # residuals of HiGHS's optimum, blurred by growing noise, point both
-        # crossovers at the optimal vertex and then at others: whatever
-        # vertex they certify must carry the LP optimum
+        # residuals of HiGHS's optimum, blurred by growing noise, point the
+        # crossover at the optimal vertex and then at others: whatever vertex
+        # it certifies must carry the LP optimum.  Its walked vertex with the
+        # zero-set dual, run on every row, must hold to the same rule
         import lpsens.regress as regress
 
         b = np_rng.integers(-3, 4, (30, 3)).astype(float)
         if kind == "gaussian":
             b = random_tall(np_rng, 30, 3, scale_rows=True)
         rows = np_rng.standard_normal((8, 3))
+        cut = regress._CERT_TOL * np.linalg.norm(b, axis=1)
         opt = [min_l1_on_hyperplane_linprog(b, a) for a in rows]
         ref = np.array([value for value, _ in opt])
         res = np.array([b @ x for _, x in opt])
         accepted = 0
         for noise in (0.0, 1e-3, 1e-1, 1.0, 10.0):
             r = res + noise * np.abs(res).mean() * np_rng.standard_normal(res.shape)
-            certified, _, value = regress._crossover(b, rows, r)
+            certified, _, value = regress._crossover(b, rows, np.abs(r), cut, True)
             np.testing.assert_allclose(value[certified], ref[certified], rtol=1e-9)
-            for a, r_row, want in zip(rows, r, ref):
-                vertex = regress._certify_alone(b, a, r_row)
-                if vertex is not None:
-                    assert vertex[1] == pytest.approx(want, rel=1e-9)
-                    accepted += 1
+            S, found = regress._independent_rows(b, rows, np.abs(r), cut)
+            _, _, x, res_x, value = regress._vertex(b, rows, S)
+            zero = np.abs(res_x) <= np.linalg.norm(x, axis=1)[:, None] * cut
+            np.put_along_axis(zero, S, True, axis=1)
+            certified = found & regress._zero_set_dual(b, rows, res_x, value, zero)
+            np.testing.assert_allclose(value[certified], ref[certified], rtol=1e-9)
+            accepted += np.count_nonzero(certified)
         assert accepted >= len(rows)  # at least the noiseless pass certifies
 
     @pytest.mark.parametrize("shape", ["heavy_tailed_112x4", "gaussian_300x8"])

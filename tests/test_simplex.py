@@ -100,21 +100,22 @@ class TestStack:
                 assert_optimal(B, A[i], batch[0][i], batch[1][i])
 
     def test_redundant_row_pinned_next_to_regular_entries(self, monkeypatch):
-        # on a B with repeated rows some entries need the per-row crossover
-        # and the others retire on the stacked one; neither moves the other
+        # on a B with repeated rows some entries need the zero-set dual and
+        # the others retire on the square one; neither moves the other
         g = np.random.default_rng(7)
         base = g.standard_normal((12, 3))
         B = np.vstack([base, base[:4], 2.0 * base[4:6]])
         A = np.vstack([base[:6], g.standard_normal((4, 3))])
-        alone, certify_alone, solved = [], regress._certify_alone, as_solved(B, A)
+        zero_set, zero_set_dual = [], regress._zero_set_dual
 
-        def spy(B, a, r):
-            alone.append(int(np.flatnonzero((solved == a).all(axis=1))[0]))
-            return certify_alone(B, a, r)
+        def spy(*args):
+            certified = zero_set_dual(*args)
+            zero_set.append(np.count_nonzero(certified))
+            return certified
 
-        monkeypatch.setattr(regress, "_certify_alone", spy)
+        monkeypatch.setattr(regress, "_zero_set_dual", spy)
         batch = regress._minimize(B, A, 1)
-        assert 0 < len(alone) < len(A)
+        assert 0 < sum(zero_set) < len(A)
         for i in range(len(A)):
             assert_same_bits(B, A, i, batch)
             assert_optimal(B, A[i], batch[0][i], batch[1][i])
@@ -127,12 +128,10 @@ def test_failed_dual_recovery_reroutes_that_row_alone(np_rng, monkeypatch):
     rows = np_rng.standard_normal((6, 3))
     clean = sensitivities_wrt(rows, b, 1)
     row_2 = as_solved(b, rows[2])
-    crossover, certify_alone, real_solve_lp = (
-        regress._crossover, regress._certify_alone, regress.solve_lp
-    )
+    crossover, real_solve_lp = regress._crossover, regress.solve_lp
 
-    def reject_row_2(B, A, r):
-        certified, x, value = crossover(B, A, r)
+    def reject_row_2(B, A, key, cut, last):
+        certified, x, value = crossover(B, A, key, cut, last)
         return certified & ~(A == row_2).all(axis=1), x, value
 
     rerouted = []
@@ -142,10 +141,6 @@ def test_failed_dual_recovery_reroutes_that_row_alone(np_rng, monkeypatch):
         return real_solve_lp(B, a)
 
     monkeypatch.setattr(regress, "_crossover", reject_row_2)
-    monkeypatch.setattr(
-        regress, "_certify_alone",
-        lambda B, a, r: None if np.array_equal(a, row_2) else certify_alone(B, a, r),
-    )
     monkeypatch.setattr(regress, "solve_lp", highs)
     vals = sensitivities_wrt(rows, b, 1)
     assert len(rerouted) == 1 and np.array_equal(rerouted[0], row_2)

@@ -1,4 +1,4 @@
-"""lp Lewis weights via a damped fixed-point iteration.
+"""lp Lewis weights via an Anderson-accelerated damped fixed-point iteration.
 
 The fixed point w_i = tau_i(W^(1/2 - 1/p) A) needs leverage scores of
 row-scaled copies of A, and those stay the same when A is replaced by any
@@ -8,6 +8,12 @@ an estimator's ``GatedMatrix`` carries in), and each iteration costs one
 d x d Cholesky: with s = w^(1/2 - 1/p), G = (sQ)^T (sQ) = L L^T
 and tau_i = |L^-1 s_i q_i|^2.  Q has orthonormal columns, so cond(G) is
 bounded by the spread of the weights, not by cond(A)^2.
+
+The base map is the damped log-space step x -> (1 - b) x + b log tau(e^x),
+x = log w.  It contracts only for p < 4 (Cohen and Peng, 2015), and slowly
+near that edge, so each step mixes it with the last _DEPTH = 3 differences
+of the map and of its residual f = g(x) - x (Anderson acceleration, type II;
+the _DEPTH x _DEPTH normal equations give the mixing weights).
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .leverage import leverage_exact  # noqa: F401 - perfbench/tracer.py wraps l
 _FLOOR = 1e-12  # weights are clamped here before any power is taken
 _MAX_ITERS = 200
 _TOL = 1e-6  # on the relative fixed-point residual
+_DEPTH = 3  # differences Anderson mixing keeps
 
 
 @dataclass(frozen=True)
@@ -34,7 +41,8 @@ class LewisConfig:
 
     @property
     def beta(self) -> float:
-        # the log-space update contracts by at most |1 - 2b/p| + b|1 - 2/p|;
+        # step of the base map that Anderson mixing accelerates: the plain
+        # log-space update contracts by at most |1 - 2b/p| + b|1 - 2/p|;
         # an undamped step (b = 1) oscillates for p < 2, while b = p/2 turns
         # the update into the classic w <- q^(p/2) map with factor 1 - b
         if self.p < 2:
@@ -50,8 +58,16 @@ def lewis_weights(a, cfg: LewisConfig) -> WeightVector:
 
     Weights and scores are clamped at F = 1e-12 before they are compared:
     the residual max_i |max(w_i, F) - max(tau_i, F)| / max(w_i, F) must fall
-    below _TOL = 1e-6 within _MAX_ITERS = 200 iterations; running out of
-    them raises NonConvergenceError with the final residual attached.
+    below _TOL = 1e-6 within _MAX_ITERS = 200 iterations, and the first w
+    that gets there is returned; running out of them raises
+    NonConvergenceError naming p and the iteration count, with the final
+    residual attached.
+
+    The mixed log-weights are clipped to [log F, 0], since Lewis weights lie
+    in (0, 1].  The first step has no history and is the plain damped one,
+    so p = 2 returns at iteration 2 with the leverage scores.  A residual
+    larger than the last one, or a singular mixing system, drops the history
+    and takes the plain step from the current point.
     """
     a, q = require_tall_full_rank(a)
     d = a.shape[1]
@@ -66,8 +82,14 @@ def lewis_weights(a, cfg: LewisConfig) -> WeightVector:
     expo = 0.5 - 1.0 / cfg.p
     beta = cfg.beta
     eye = np.eye(d)
+    # Anderson history: the last _DEPTH differences of f = g(x) - x and of g(x),
+    # written round-robin; kept counts the differences since the last restart
+    df = np.empty((n, _DEPTH))
+    dg = np.empty((n, _DEPTH))
+    kept = 0
+    f_prev = g_prev = None
     w = np.full(n, d / n)
-    residual = np.inf
+    residual = prev_residual = np.inf
     for _ in range(_MAX_ITERS):
         w = np.maximum(w, _FLOOR)
         y = q * (w**expo)[:, None]
@@ -82,9 +104,31 @@ def lewis_weights(a, cfg: LewisConfig) -> WeightVector:
             weights = np.zeros(a.shape[0])
             weights[live] = w
             return WeightVector(values=weights, kind="lewis", p=float(cfg.p))
-        w = np.exp((1.0 - beta) * np.log(w) + beta * np.log(tau))
+        x = np.log(w)
+        g = (1.0 - beta) * x + beta * np.log(tau)
+        f = g - x
+        if residual > prev_residual:
+            kept = 0  # the last step lost ground: restart from the plain step here
+        elif f_prev is not None:
+            df[:, kept % _DEPTH] = f - f_prev
+            dg[:, kept % _DEPTH] = g - g_prev
+            kept += 1
+        f_prev, g_prev, prev_residual = f, g, residual
+        step = g  # the plain damped step
+        if kept:
+            h = min(kept, _DEPTH)
+            try:
+                gamma = np.linalg.solve(df[:, :h].T @ df[:, :h], df[:, :h].T @ f)
+            except np.linalg.LinAlgError:
+                gamma = np.full(h, np.nan)
+            if np.all(np.isfinite(gamma)):
+                # Lewis weights lie in (0, 1], and clipping there keeps exp finite
+                step = np.clip(g - dg[:, :h] @ gamma, np.log(_FLOOR), 0.0)
+            else:
+                kept = 0
+        w = np.exp(step)
     raise NonConvergenceError(
-        f"Lewis weights did not reach tol={_TOL} in {_MAX_ITERS} iterations"
-        f" (residual {residual:.3e})",
+        f"Lewis weights at p = {cfg.p:g} did not reach tol={_TOL} in {_MAX_ITERS}"
+        f" iterations (residual {residual:.3e})",
         residual=residual,
     )

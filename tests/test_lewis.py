@@ -63,12 +63,60 @@ class TestFixedPoint:
             assert total == pytest.approx(5.0, abs=1e-4)
 
     def test_large_p_converges_on_moderate_matrices(self, np_rng):
-        # no contraction guarantee past p = 4; beta = 1/2 handles mild inputs,
-        # and harder ones surface NonConvergenceError instead of bad output
+        # the damped map (beta = 1/2) has no contraction guarantee past p = 4;
+        # Anderson mixing restarts from its plain step whenever the residual
+        # grows, and inputs it cannot settle raise NonConvergenceError
         for p in (4, 7):
             a = random_tall(np_rng, 60, 5)
             total = lewis_weights(a, LewisConfig(p=p)).values.sum()
             assert total == pytest.approx(5.0, abs=1e-4)
+
+    def test_very_large_p_converges_on_heavy_tailed_rows(self):
+        # the plain damped map stalls here at residual ~9e-6 for all 200 iterations
+        for s in range(3):
+            g = np.random.default_rng(100 + s)
+            a = g.standard_normal((200, 6)) * np.exp(g.uniform(-2, 2, 200))[:, None]
+            u = np.linalg.svd(a, full_matrices=False)[0]
+            for p in (16, 24):
+                w = lewis_weights(a, LewisConfig(p=p)).values
+                assert w.sum() == pytest.approx(6.0, abs=1e-4)
+                scaled = u * np.maximum(w, 1e-12)[:, None] ** (0.5 - 1.0 / p)
+                tau = np.maximum(leverage_svd_oracle(scaled), 1e-12)
+                assert np.max(np.abs(w - tau) / np.maximum(w, 1e-12)) <= 1e-6
+
+    def test_iteration_budget(self, monkeypatch):
+        # one d x d Cholesky per iteration; the plain damped map needs
+        # 21, 11, 2, 16, 74 and 119 of them here
+        import scipy.linalg
+
+        g = np.random.default_rng(2000)
+        a = g.standard_normal((2000, 8)) * np.exp(g.uniform(-2, 2, 2000))[:, None]
+        cholesky, calls = scipy.linalg.cholesky, []
+
+        def counting_cholesky(x, *args, **kwargs):
+            calls.append(np.shape(x))
+            return cholesky(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cholesky", counting_cholesky)
+        used = {}
+        for p in (1.0, 1.5, 2.0, 3.0, 5.0, 8.0):
+            calls.clear()
+            lewis_weights(a, LewisConfig(p=p))
+            used[p] = len(calls)
+        assert used[2.0] == 2
+        assert max(used[1.0], used[1.5], used[3.0]) <= 10
+        assert used[5.0] <= 20 and used[8.0] <= 32, used
+
+    def test_singular_mixing_falls_back_to_the_plain_step(self, np_rng, monkeypatch):
+        a = random_tall(np_rng, 60, 4, scale_rows=True)
+        mixed = {p: lewis_weights(a, LewisConfig(p=p)).values for p in (1.0, 3.0, 5.0)}
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        for p, w in mixed.items():
+            np.testing.assert_allclose(lewis_weights(a, LewisConfig(p=p)).values, w, rtol=1e-5)
 
     def test_identity_matrix_all_ones(self):
         for p in (1, 2.5, 4):
@@ -171,9 +219,10 @@ class TestConfig:
     def test_nonconvergence_carries_residual(self, np_rng, monkeypatch):
         import lpsens.lewis as lewis
 
-        monkeypatch.setattr(lewis, "_MAX_ITERS", 1)
+        monkeypatch.setattr(lewis, "_MAX_ITERS", 3)
         monkeypatch.setattr(lewis, "_TOL", 1e-12)
         a = random_tall(np_rng, 40, 4, scale_rows=True)
         with pytest.raises(NonConvergenceError) as exc:
-            lewis_weights(a, LewisConfig(p=1))
+            lewis_weights(a, LewisConfig(p=1.5))
         assert exc.value.residual > 0
+        assert "p = 1.5 " in str(exc.value) and " 3 iterations" in str(exc.value)

@@ -138,7 +138,7 @@ def pivoted_qr(a) -> QRResult:
     of A; rank counts diagonal entries of r above RANK_TOL times the largest.
     """
     a = as_matrix(a)
-    q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
+    q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True, check_finite=False)
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] == 0.0:
         rank = 0

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import (
+    GatedMatrix,
     NonConvergenceError,
     RandomSource,
     as_matrix,
@@ -65,23 +66,28 @@ def inclusion_probabilities(weights, d, eps) -> np.ndarray:
 def lp_embedding(a, p, eps: float, rng: RandomSource, weights=None) -> SamplingEmbedding:
     """Sample an lp subspace embedding of A at target distortion eps.
 
-    Precomputed Lewis weights may be passed to avoid recomputing them.  The
-    sampled row set is redrawn (from fresh substreams) in the rare event it
-    loses column rank, and kept rows are scaled by p_i^(-1/p).  ``a`` may be
-    a ``GatedMatrix``; either way the Lewis weights reuse the one rank-gate
-    QR of A, so the call factors A once.
+    The sampled row set is redrawn (from fresh substreams) in the rare event
+    it loses column rank, and kept rows are scaled by p_i^(-1/p).  ``a`` may
+    be a ``GatedMatrix``.  Without ``weights`` the call gates A and its Lewis
+    weights reuse the gate's QR, so it factors A once.
+
+    Precomputed Lewis weights skip the gate: a sample of rank d proves that
+    A has rank d, so only a first draw that falls short runs the gate's
+    n x d QR, which raises RankDeficientError on a wide or rank-deficient A.
+    An A whose QR diagonal ratio lies within the sample's distortion of
+    RANK_TOL may therefore pass where the gate alone would refuse it.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    gated = require_tall_full_rank(a)
-    a = gated.a
-    n, d = a.shape
     if weights is None:
-        weights = lewis_weights(gated, LewisConfig(p=p)).values
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (n,):
-            raise ValueError("weights length must match the row count")
+        a = require_tall_full_rank(a)
+        weights = lewis_weights(a, LewisConfig(p=p)).values
+    gated = isinstance(a, GatedMatrix)
+    a = a.a if gated else as_matrix(a)
+    n, d = a.shape
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (n,):
+        raise ValueError("weights length must match the row count")
     probs = inclusion_probabilities(weights, d, eps)
     for attempt in range(20):
         gen = rng.child("lp_embedding", attempt).generator()
@@ -92,6 +98,9 @@ def lp_embedding(a, p, eps: float, rng: RandomSource, weights=None) -> SamplingE
             return SamplingEmbedding(
                 source_rows=rows, scales=scales, p=float(p), target_distortion=eps
             )
+        if not gated:
+            require_tall_full_rank(a)  # a short draw: only the gate tells why
+            gated = True
     raise NonConvergenceError("sampled embedding kept losing column rank")
 
 
@@ -107,7 +116,7 @@ def linf_embedding(a) -> SamplingEmbedding:
     a = require_tall_full_rank(a).a
     n, d = a.shape
     # start from the d best-conditioned rows (column pivots of A^T)
-    _, _, perm = scipy.linalg.qr(a.T, mode="economic", pivoting=True)
+    _, _, perm = scipy.linalg.qr(a.T, mode="economic", pivoting=True, check_finite=False)
     basis = np.sort(perm[:d]).copy()
     # each swap at least doubles |det|, which caps the number of rounds
     max_swaps = 64 * d + int(4 * d * math.log1p(n))

@@ -11,7 +11,8 @@ of s, and each row of A lands on one random row of every block with sign
 +-1/sqrt(s).  Each estimate keeps the window [tau_i/(1+eps)^2,
 tau_i/(1-eps)^2] whenever the sketch is a (1 +- eps) subspace embedding.
 Drawing and applying the sketch takes s n integer draws, O(s n d) flops and
-O(s n + r d) memory.
+O(s n + r d) memory.  S A has rank d only if A does, so a pivoted QR of the
+small sketch, not of A, certifies the full column rank the estimate needs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,15 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .core import GatedMatrix, RandomSource, WeightVector, pivoted_qr, require_tall_full_rank
+from .core import (
+    GatedMatrix,
+    RandomSource,
+    WeightVector,
+    as_matrix,
+    matrix_rank,
+    pivoted_qr,
+    require_tall_full_rank,
+)
 
 # nonzeros per column of the sparse sketch, one in each of this many row blocks
 SKETCH_BLOCKS = 8
@@ -68,19 +77,27 @@ def leverage_approx(a, eps: float, rng: RandomSource) -> WeightVector:
     subspace embedding of the column space of A, which that sketch size aims
     for w.h.p., every estimate lies in [tau_i / (1+eps)^2, tau_i / (1-eps)^2];
     the sketch is too small to promise (1 +- eps) per entry.  Costs
-    O(SKETCH_BLOCKS n d) for the sketch plus the rank gate's O(n d^2) pivoted
-    QR, with O(SKETCH_BLOCKS n + r d) working memory beyond the d x n
-    preconditioned rows.  Requires full column rank.
+    O(SKETCH_BLOCKS n d) for the sketch plus O(n d^2) for the preconditioned
+    rows, with O(SKETCH_BLOCKS n + r d) working memory beyond them.
+
+    Requires full column rank, and the rank of the r x d sketch proves it: a
+    pivoted QR of the sketch replaces the rank gate's QR of A, which runs
+    only when the sketch falls short of rank d (as it does whenever A is
+    wide) and then raises RankDeficientError on a rank-deficient A.  An A whose QR diagonal
+    ratio lies within the sketch's distortion of RANK_TOL may therefore pass
+    where the gate alone would refuse it.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    a = require_tall_full_rank(a).a
+    a = a.a if isinstance(a, GatedMatrix) else as_matrix(a)
     n, d = a.shape
     r = max(int(math.ceil(8.0 * math.log(n) / (eps * eps))), d + 1)
     r = SKETCH_BLOCKS * math.ceil(r / SKETCH_BLOCKS)
     sketch = _sparse_sign_sketch(n, r, rng.generator()) @ a
+    if matrix_rank(sketch) < d:  # always so when A is wide
+        require_tall_full_rank(a)
     _, rr = np.linalg.qr(sketch)
-    v = scipy.linalg.solve_triangular(rr, a.T, lower=False, trans="T")
+    v = scipy.linalg.solve_triangular(rr, a.T, lower=False, trans="T", check_finite=False)
     vals = np.einsum("ji,ji->i", v, v)
     # true scores never exceed 1, so clamping only sharpens the estimate
     return WeightVector(values=np.clip(vals, 0.0, 1.0), kind="leverage", p=2.0)

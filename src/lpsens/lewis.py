@@ -7,7 +7,9 @@ the pivoted QR that decided the rank of A (its own rank gate's, or the one
 an estimator's ``GatedMatrix`` carries in), and each iteration costs one
 d x d Cholesky: with s = w^(1/2 - 1/p), G = (sQ)^T (sQ) = L L^T
 and tau_i = |L^-1 s_i q_i|^2.  Q has orthonormal columns, so cond(G) is
-bounded by the spread of the weights, not by cond(A)^2.
+bounded by the spread of the weights, not by cond(A)^2.  At p = 2 the
+scaling W^0 is the identity and the weights are the squared row norms of Q,
+with no iteration at all.
 
 The base map is the damped log-space step x -> (1 - b) x + b log tau(e^x),
 x = log w.  It contracts only for p < 4 (Cohen and Peng, 2015), and slowly
@@ -64,13 +66,14 @@ def lewis_weights(a, cfg: LewisConfig) -> WeightVector:
     residual attached.
 
     The mixed log-weights are clipped to [log F, 0], since Lewis weights lie
-    in (0, 1].  The first step has no history and is the plain damped one,
-    so p = 2 returns at iteration 2 with the leverage scores.  A residual
-    larger than the last one, or a singular mixing system, drops the history
-    and takes the plain step from the current point.
+    in (0, 1].  The first step has no history and is the plain damped one.
+    A residual larger than the last one, or a singular mixing system, drops
+    the history and takes the plain step from the current point.
+
+    At p = 2 the fixed point is the leverage scores themselves: the call
+    returns max(|q_i|^2, F) on the live rows without iterating.
     """
     a, q = require_tall_full_rank(a)
-    d = a.shape[1]
     # zero rows have weight exactly 0 and would pin the residual at the
     # clamping floor forever; solve the fixed point on the live block only.
     # A zero row of A gives a row of q that is zero up to rounding, so q[live]
@@ -78,7 +81,12 @@ def lewis_weights(a, cfg: LewisConfig) -> WeightVector:
     live = np.any(a != 0.0, axis=1)
     if not live.all():
         q = q[live]
-    n = q.shape[0]
+    weights = np.zeros(a.shape[0])
+    if cfg.p == 2:
+        # W^0 A = A: the fixed point is the leverage scores of q, no iteration
+        weights[live] = np.maximum(np.einsum("ij,ij->i", q, q), _FLOOR)
+        return WeightVector(values=weights, kind="lewis", p=float(cfg.p))
+    n, d = q.shape
     expo = 0.5 - 1.0 / cfg.p
     beta = cfg.beta
     eye = np.eye(d)
@@ -101,7 +109,6 @@ def lewis_weights(a, cfg: LewisConfig) -> WeightVector:
         tau = np.maximum(np.einsum("ij,ij->i", z, z), _FLOOR)
         residual = float(np.max(np.abs(w - tau) / w))
         if residual <= _TOL:
-            weights = np.zeros(a.shape[0])
             weights[live] = w
             return WeightVector(values=weights, kind="lewis", p=float(cfg.p))
         x = np.log(w)

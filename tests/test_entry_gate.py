@@ -1,10 +1,14 @@
-"""Every public entry point gates its input once, and the gate holds everywhere.
+"""Every public entry point factors its input at most once, and the gate holds everywhere.
 
-The rank gate's column-pivoted QR is the only factorization of the input
-matrix an entry point needs: Lewis weights, embeddings and exact leverage
-scores below it reuse the gate's q.  ``scipy.linalg.qr`` is counted on the
-input's own n x d shape; the matrices are tall enough that no sampled
-embedding keeps every row, so a rank check of a sample never has that shape.
+An entry point that reads the q factor of the rank gate's column-pivoted QR
+makes that QR its only factorization of the input matrix: Lewis weights,
+embeddings and exact leverage scores below it reuse the gate's q.  The two
+calls that read no q, ``lp_embedding`` with given weights and
+``leverage_approx``, prove full rank on a row sample or a sketch instead and
+run the gate only when that proof falls short.  ``scipy.linalg.qr`` is
+counted on the input's own n x d shape; the matrices are tall enough that no
+sampled embedding keeps every row, so a rank check of a sample never has that
+shape.
 """
 
 import numpy as np
@@ -44,9 +48,22 @@ _ENTRIES = {
 _SOLVES_EVERY_ROW = ("exact p=1", "exact p=3")  # kept small: one LP or IRLS solve per row
 
 
-@pytest.mark.parametrize("entry", list(_ENTRIES))
-def test_one_pivoted_qr_of_the_input_per_call(tall, monkeypatch, entry):
-    a = tall[:200] if entry in _SOLVES_EVERY_ROW else tall
+def _uniform_weights(a, total=None):
+    """Weights that need no factorization of A: total / n on every row (total = d)."""
+    n, d = a.shape
+    return np.full(n, (d if total is None else total) / n)
+
+
+# calls that read no q factor, so a rank proof on a sample or sketch replaces the gate
+_UNGATED = {
+    "lp_embedding weights": lambda a, rs: L.lp_embedding(
+        a, 1.5, 0.5, rs, weights=_uniform_weights(a)
+    ),
+    "leverage_approx": lambda a, rs: L.leverage_approx(a, 0.5, rs),
+}
+
+
+def _pivoted_qr_shapes(monkeypatch, call):
     qr = scipy.linalg.qr
     shapes = []
 
@@ -56,8 +73,21 @@ def test_one_pivoted_qr_of_the_input_per_call(tall, monkeypatch, entry):
         return qr(x, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
-    _ENTRIES[entry](a, L.RandomSource(5))
+    call()
+    return shapes
+
+
+@pytest.mark.parametrize("entry", list(_ENTRIES))
+def test_one_pivoted_qr_of_the_input_per_call(tall, monkeypatch, entry):
+    a = tall[:200] if entry in _SOLVES_EVERY_ROW else tall
+    shapes = _pivoted_qr_shapes(monkeypatch, lambda: _ENTRIES[entry](a, L.RandomSource(5)))
     assert shapes.count(a.shape) == 1, shapes
+
+
+@pytest.mark.parametrize("entry", list(_UNGATED))
+def test_no_pivoted_qr_of_the_input_without_a_q_reader(tall, monkeypatch, entry):
+    shapes = _pivoted_qr_shapes(monkeypatch, lambda: _UNGATED[entry](tall, L.RandomSource(5)))
+    assert shapes and shapes.count(tall.shape) == 0, shapes
 
 
 def _wide(rng):
@@ -72,10 +102,10 @@ def _duplicated_column(rng):
 
 _GATED = dict(
     _ENTRIES,
+    **_UNGATED,
     OneShotTotal=lambda a, rs: L.OneShotTotal(a, L.TotalConfig(p=1, gamma=0.5), rs),
     regression=lambda a, rs: L.regression_via_sensitivity(a, np.ones(a.shape[0]), 1.5),
     linf_embedding=lambda a, rs: L.linf_embedding(a),
-    leverage_approx=lambda a, rs: L.leverage_approx(a, 0.5, rs),
 )
 
 
@@ -84,6 +114,17 @@ _GATED = dict(
 def test_every_gated_entry_rejects_rank_deficient_input(np_rng, make, entry):
     with pytest.raises(L.RankDeficientError):
         _GATED[entry](make(np_rng), L.RandomSource(0))
+
+
+def test_lp_embedding_with_weights_gates_a_short_first_draw(np_rng):
+    # weights this small keep no row, so no draw can prove rank d: the gate
+    # decides, and a full-rank A redraws until the draws run out
+    with pytest.raises(L.RankDeficientError):
+        a = _duplicated_column(np_rng)
+        L.lp_embedding(a, 1.5, 0.5, L.RandomSource(0), weights=_uniform_weights(a, 1e-9))
+    with pytest.raises(L.NonConvergenceError):
+        a = random_tall(np_rng, 40, 4)
+        L.lp_embedding(a, 1.5, 0.5, L.RandomSource(0), weights=_uniform_weights(a, 1e-9))
 
 
 _EXPONENT_CHECKS = {

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import leverage_svd_oracle, random_tall
-from lpsens.core import NonConvergenceError
+from lpsens.core import NonConvergenceError, require_tall_full_rank
 from lpsens.leverage import leverage_exact
 from lpsens.lewis import LewisConfig, lewis_weights
 
@@ -32,6 +32,14 @@ class TestFixedPoint:
             leverage_exact(a).values,
             atol=1e-8,
         )
+
+    def test_p2_is_leverage_of_the_gate_q_without_iterating(self, np_rng):
+        a = random_tall(np_rng, 50, 4, scale_rows=True)
+        a[[3, 17, 40]] = 0.0
+        gated = require_tall_full_rank(a)
+        w = lewis_weights(gated, LewisConfig(p=2)).values
+        np.testing.assert_allclose(w, leverage_exact(gated).values, rtol=0, atol=1e-13)
+        assert np.all(w[[3, 17, 40]] == 0.0)
 
     def test_defining_equation_holds_at_return(self, np_rng):
         ps = (1.0, 1.5, 2.5, 3.0, 5.0)
@@ -85,8 +93,9 @@ class TestFixedPoint:
                 assert np.max(np.abs(w - tau) / np.maximum(w, 1e-12)) <= 1e-6
 
     def test_iteration_budget(self, monkeypatch):
-        # one d x d Cholesky per iteration; the plain damped map needs
-        # 21, 11, 2, 16, 74 and 119 of them here
+        # one d x d Cholesky per iteration, none at p = 2 (its fixed point is
+        # the leverage scores); the plain damped map needs 21, 11, 16, 74 and
+        # 119 of them at the other p here
         import scipy.linalg
 
         g = np.random.default_rng(2000)
@@ -103,7 +112,7 @@ class TestFixedPoint:
             calls.clear()
             lewis_weights(a, LewisConfig(p=p))
             used[p] = len(calls)
-        assert used[2.0] == 2
+        assert used[2.0] == 0
         assert max(used[1.0], used[1.5], used[3.0]) <= 10
         assert used[5.0] <= 20 and used[8.0] <= 32, used
 

@@ -21,12 +21,21 @@ optimal by weak duality, and the row retires with its exact value.  Repeated
 rows and vertices where more residuals vanish get an independent set of rows
 and a zero-set dual in the same pass.  HiGHS solves any row still open.
 
+At every other p the crossover's transposed system brackets the minimum.
+After each smoothing stage from delta = 1e-3 on, S is again the d - 1 rows
+of B with the smallest residuals (never one parallel to a), v = sign(r)
+|r|^(p - 1) off S, and one stacked solve of B_S^T v_S - lam a = -B_N^T v_N
+completes a dual point.  By Hoelder's inequality (lam / ||v||_q)^p, q =
+p / (p - 1), bounds the minimum below, and sum |r|^p bounds it above; a row
+whose two bounds agree to 1e-12 relative retires with its value, and only
+the others run the remaining stages.
+
 IRLS eliminates each row's hyperplane into one entry of a stack of
-(m, d - 1) matrices, and every iteration forms and solves the Newton systems
-of the rows still active as one stack; the crossover is one stack of d x d
-systems.  Rows retire as soon as they finish, and no row's arithmetic
-depends on another's, so a row gets bit-identical results whether it is
-solved alone or in any batch.  Working memory is capped by solving the rows
+(d - 1, m) matrices, and every iteration forms and solves the Newton systems
+of the rows still active as one stack; the crossover and the bracket are
+each one stack of d x d systems.  Rows retire as soon as they finish, and
+no row's arithmetic depends on another's, so a row gets bit-identical
+results whether it is solved alone or in any batch.  Working memory is capped by solving the rows
 in chunks of at most ``_CHUNK_ELEMENTS`` stacked matrix entries.
 """
 
@@ -61,8 +70,9 @@ class RegressionSolution:
 def _eliminate_hyperplanes(B, A):
     """Substitute each row's largest-|a_j| coordinate out of  a @ x = 1.
 
-    For row i of A returns M[i], c[i] with  B x = M[i] z + c[i],  where z are
-    the coordinates rest[i] and x_k = (1 - a_rest @ z) / a_k for k = k[i].
+    For row i of A returns M[i], c[i] with  B x = z @ M[i] + c[i],  where z
+    are the coordinates rest[i] and x_k = (1 - a_rest @ z) / a_k for k = k[i].
+    M[i] is (d - 1, m), so per-residual weights broadcast along its rows.
     Every stack entry is computed from its own row alone.
     """
     K, d = A.shape
@@ -71,8 +81,8 @@ def _eliminate_hyperplanes(B, A):
     rest = j + (j >= k[:, None])
     c = np.ascontiguousarray(B[:, k].T) / A[np.arange(K), k][:, None]
     a_rest = np.take_along_axis(A, rest, axis=1)
-    M = np.empty((K, B.shape[0], d - 1))
-    np.subtract(B[:, rest].transpose(1, 0, 2), c[:, :, None] * a_rest[:, None, :], out=M)
+    M = np.empty((K, d - 1, B.shape[0]))
+    np.subtract(B.T[rest], a_rest[:, :, None] * c[:, None, :], out=M)
     return M, c, k, rest
 
 
@@ -90,16 +100,23 @@ def _matvec(M, v):
     return np.matmul(M, v[..., None])[..., 0]
 
 
-def _newton_step(M, grad, curv=None):
-    """Solve (M[i]^T diag(curv[i]) M[i]) step = -M[i]^T grad[i] per stack entry.
+def _residual(M, z, c):
+    """z[i] @ M[i] + c[i] for every stack entry."""
+    r = np.matmul(z[:, None, :], M)[:, 0]
+    r += c
+    return r
 
-    For sum(phi(M z + c)) with phi' = grad and phi'' = curv at the current
+
+def _newton_step(M, grad, curv=None):
+    """Solve (M[i] diag(curv[i]) M[i]^T) step = -M[i] grad[i] per stack entry.
+
+    For sum(phi(z @ M + c)) with phi' = grad and phi'' = curv at the current
     residual this is the Newton step in z.  With curv omitted (all ones) and
-    grad = c it is the least-squares solution argmin_z ||M z + c||_2 itself.
+    grad = c it is the least-squares solution argmin_z ||z @ M + c||_2 itself.
     """
-    CM = M if curv is None else M * curv[:, :, None]
-    G = np.matmul(M.transpose(0, 2, 1), CM)
-    rhs = -_matvec(M.transpose(0, 2, 1), grad)
+    CM = M if curv is None else M * curv[:, None, :]
+    G = np.matmul(CM, M.transpose(0, 2, 1))
+    rhs = -_matvec(M, grad)
     step, singular = _solve(G, rhs)
     for i in singular:
         step[i] = np.linalg.lstsq(G[i], rhs[i], rcond=None)[0]
@@ -107,20 +124,30 @@ def _newton_step(M, grad, curv=None):
 
 
 def _smoothed(r, d2, p):
-    return np.sum((r * r + d2) ** (p / 2.0), axis=1)
+    """The terms (r^2 + delta^2)^(p/2) of the smoothed objective."""
+    t = r * r
+    t += d2
+    return np.power(t, p / 2.0, out=t)
 
 
-def _smoothed_derivatives(r, d2, p):
-    """phi'(r) / p and phi''(r) / p for phi(r) = (r^2 + delta^2)^(p/2).
+def _smoothed_derivatives(r, d2, p, t):
+    """phi'(r) / p and phi''(r) / p for phi(r) = (r^2 + delta^2)^(p/2), from
+    the terms t = ``_smoothed(r, d2, p)``, so no second power is taken.
 
     The common factor p cancels from the Newton step.  phi'' is positive for
     every p >= 1 while delta > 0, so each normal matrix is positive definite
-    whenever M[i] has full column rank.
+    whenever M[i] has full row rank.
     """
-    r2 = r * r
-    s = r2 + d2
-    t = s ** (p / 2.0 - 2.0)
-    return r * s * t, ((p - 1.0) * r2 + d2) * t
+    # in place: at a few hundred kB per array a fresh one costs more than the
+    # arithmetic
+    curv = r * r
+    s = curv + d2
+    u = t / s  # s^(p/2 - 1)
+    curv *= p - 1.0
+    curv += d2
+    curv *= u
+    curv /= s
+    return np.multiply(r, u, out=u), curv
 
 
 def _solve(G, rhs):
@@ -140,6 +167,7 @@ def _solve(G, rhs):
 _DELTAS = 10.0 ** np.arange(-2.0, -11.0, -1.0)  # 1e-2 geometrically down to 1e-10
 _MAX_INNER = 60  # IRLS iterations per delta
 _CERT_TOL = 1e-9  # round-off a p = 1 vertex certificate allows, relative
+_BRACKET_RTOL = 1e-12  # relative gap at which a p != 1 row's bracket retires it
 # float64 entries of one stack of eliminated matrices; rows are solved in
 # chunks of this size, which bounds working memory at a few times it
 _CHUNK_ELEMENTS = 1 << 21
@@ -276,9 +304,56 @@ def _vertex(B, A, S):
     value = np.sum(np.abs(res), axis=1)
     v = np.sign(res)
     np.put_along_axis(v, S, 0.0, axis=1)
-    dual, _ = _solve(vertex.transpose(0, 2, 1), -np.matmul(v[:, None, :], B)[:, 0])
+    dual = _active_set_dual(vertex, B, v)
     agree = np.abs(value + dual[:, 0]) <= _CERT_TOL * value
     return agree & (np.abs(dual[:, 1:]).max(axis=1) <= 1.0 + _CERT_TOL), agree, x, res, value
+
+
+def _active_set_dual(vertex, B, v):
+    """Solve B_S^T v_S - lam a = -B_N^T v_N, the transposed system of the
+    rows of ``vertex`` = [a; B_S], for every row; v is zero on S.  Returns
+    (-lam, v_S) per row, nan where [a; B_S] is singular."""
+    dual, _ = _solve(vertex.transpose(0, 2, 1), -np.matmul(v[:, None, :], B)[:, 0])
+    return dual
+
+
+def _bracket(B, A, r, shut, p):
+    """Bounds lo <= min ||B x||_p^p (subject to a @ x = 1) <= hi at p > 1.
+
+    r = B x at a point x of the hyperplane, so hi = sum |r|^p.  S is the
+    d - 1 rows of smallest |r| but those ``shut`` (parallel to a), v_N =
+    sign(r) |r|^(p - 1) off S, and ``_active_set_dual`` completes v with
+    B^T v = lam a.  Hoelder's inequality gives lam = v @ B x <= ||v||_q
+    ||B x||_p on the whole hyperplane, q = p / (p - 1), so for lam > 0
+    lo = (lam / ||v||_q)^p (0 otherwise); at the minimum v is the gradient
+    and the two meet.  r is divided by its largest |r| first and v_S by its
+    largest entry above 1, so no power overflows however large q is, and
+    |r|^(p - 1) is the one power taken per residual: off S, |v|^q = |r|^p.
+    Returns per-row arrays (lo, hi).
+    """
+    K, d = A.shape
+    rho = np.abs(r)
+    S = np.argpartition(np.where(shut, np.inf, rho), d - 2, axis=1)[:, : d - 1].copy()
+    flat = (S + r.shape[1] * np.arange(K)[:, None]).ravel()  # S in r.ravel()
+    top = rho.max(axis=1)
+    rho /= top[:, None]
+    v = rho ** (p - 1.0)
+    mass = rho * v  # |r|^p / top^p
+    hi = mass.sum(axis=1)
+    np.copysign(v, r, out=v)
+    v.ravel()[flat] = 0.0
+    off_s = hi - mass.ravel()[flat].reshape(K, d - 1).sum(axis=1)  # ||v_N||_q^q
+    vertex = np.empty((K, d, d))
+    vertex[:, 0], vertex[:, 1:] = A, B[S]
+    dual = _active_set_dual(vertex, B, v)
+    v_s = np.abs(dual[:, 1:])
+    q = p / (p - 1.0)
+    big = np.maximum(v_s.max(axis=1), 1.0)
+    norm = big * (off_s * big**-q + ((v_s / big[:, None]) ** q).sum(axis=1)) ** (1.0 / q)
+    lam = -dual[:, 0]
+    # 0 where lam <= 0, or nan from a singular [a; B_S]
+    lo = np.where(lam > 0.0, (np.maximum(lam, 0.0) / norm) ** p, 0.0)
+    return lo, hi * top**p
 
 
 def _independent_rows(B, A, key, cut):
@@ -337,11 +412,11 @@ def _zero_set_dual(B, A, res, value, zero):
 def _min_lp_irls(B, A, p):
     """Smoothed IRLS for every row a of A: min ||B x||_p^p subject to a @ x = 1.
 
-    Minimizes sum(phi(r)), phi(r) = (r^2 + delta^2)^(p/2), r = M z + c, with
-    delta annealed from 1e-2 to 1e-10, on all rows at once: each row's
+    Minimizes sum(phi(r)), phi(r) = (r^2 + delta^2)^(p/2), r = z @ M + c,
+    with delta annealed from 1e-2 to 1e-10, on all rows at once: each row's
     hyperplane is eliminated into a stack entry (M, c).  Each iteration is a
     Newton step, IRLS with the weights phi''(r): the systems
-    (M^T diag(phi''(r)) M) step = -M^T phi'(r) of the still-active rows are
+    (M diag(phi''(r)) M^T) step = -M phi'(r) of the still-active rows are
     formed and solved as one stack, and the step is halved until the
     objective falls by a quarter of the decrease its slope predicts.  A row
     finishes a delta when one step changes the objective by at most 1e-11
@@ -349,11 +424,15 @@ def _min_lp_irls(B, A, p):
     delta within _MAX_INNER steps.  B has full column rank, A no zero rows
     and d >= 2.
 
-    At p = 1 the open rows try ``_crossover`` after each delta, and a row it
-    certifies retires for good with the vertex and its value.  HiGHS solves
-    a row still open after the last delta, so every row converges, and its
-    iterations count HiGHS's.  Returns per-row arrays (x_opt, value,
-    converged, iterations).
+    After each delta but the first the open rows are checked, and a row the
+    check certifies retires for good, converged even if that delta ran out
+    of steps.  At p != 1 the check is ``_bracket``: the row retires with
+    its IRLS point once lo and hi agree to _BRACKET_RTOL; a row never
+    certified runs every delta.  At p = 1 (checked after the first delta
+    too) it is ``_crossover``, and the row retires with the vertex and its
+    value; HiGHS solves a row still open after the last delta, so every row
+    converges, and its iterations count HiGHS's.  Returns per-row arrays
+    (x_opt, value, converged, iterations).
     """
     K, d = A.shape
     x, value = np.empty((K, d)), np.empty(K)
@@ -367,34 +446,38 @@ def _min_lp_irls(B, A, p):
 def _irls_chunk(B, A, p):
     M, c, k, rest = _eliminate_hyperplanes(B, A)
     z = _newton_step(M, c)  # from z = 0, where r = c: least squares
-    r = _matvec(M, z) + c
+    r = _residual(M, z, c)
     K = A.shape[0]
     x, value = np.empty(A.shape), np.empty(K)
     iterations = np.zeros(K, dtype=np.intp)
     converged = np.ones(K, dtype=bool)
     todo = np.arange(K)  # the open rows; M, c, z and r hold theirs alone
+    cut = _CERT_TOL * np.linalg.norm(B, axis=1)
+    # B_j parallel to a: B_j x = t (a @ x) = t never vanishes
+    shut = np.einsum("ijk,ijk->ik", M, M) <= cut * cut
     if p == 1:
         # smooth each row relative to its largest starting residual: the path
         # then does not depend on the scale of B or a
         scale = np.abs(r).max(axis=1, keepdims=True)
-        cut = _CERT_TOL * np.linalg.norm(B, axis=1)
-        # inf where B_j is parallel to a: B_j x = t (a @ x) = t never vanishes
-        shut = np.where((M * M) @ np.ones(M.shape[2]) <= cut * cut, np.inf, 0.0)
         M, c, r = M / scale[:, :, None], c / scale, r / scale
     for delta in _DELTAS:
         d2 = delta * delta
         converged[todo] = False
         act = np.arange(todo.size)  # rows still iterating at this delta
         Ma, ca, za, ra = M, c, z, r
-        obj = _smoothed(ra, d2, p)
+        t = _smoothed(ra, d2, p)
+        obj = t.sum(axis=1)
+        grad, curv = _smoothed_derivatives(ra, d2, p, t)
         for _ in range(_MAX_INNER):
-            grad, curv = _smoothed_derivatives(ra, d2, p)
             z_new = za + _newton_step(Ma, grad, curv)
             iterations[todo[act]] += 1
-            r_new = _matvec(Ma, z_new) + ca
-            obj_new = _smoothed(r_new, d2, p)
+            r_new = _residual(Ma, z_new, ca)
+            t = _smoothed(r_new, d2, p)
+            obj_new = t.sum(axis=1)
             # the objective's derivative along the whole step (negative)
-            slope = p * np.sum(grad * (r_new - ra), axis=1)
+            moved = r_new - ra
+            moved *= grad
+            slope = p * moved.sum(axis=1)
             # far from the minimum a full Newton step can overshoot, on either
             # side of p = 2 (at p = 1.5 it maps a lone residual r to -r, which
             # leaves the objective unchanged); halve back towards the old point
@@ -404,8 +487,9 @@ def _irls_chunk(B, A, p):
                 if up.size == 0:
                     break
                 z_new[up] = 0.5 * (z_new[up] + za[up])
-                r_new[up] = _matvec(Ma[up], z_new[up]) + ca[up]
-                obj_new[up] = _smoothed(r_new[up], d2, p)
+                r_new[up] = _residual(Ma[up], z_new[up], ca[up])
+                t[up] = _smoothed(r_new[up], d2, p)
+                obj_new[up] = t[up].sum(axis=1)
                 slope[up] *= 0.5
             done = np.abs(obj - obj_new) <= 1e-11 * (1.0 + np.abs(obj_new))
             za, ra, obj = z_new, r_new, obj_new
@@ -415,19 +499,34 @@ def _irls_chunk(B, A, p):
                 z[fin], r[fin], converged[todo[fin]] = za[done], ra[done], True
                 live = ~done
                 act, Ma, ca = act[live], Ma[live], ca[live]
-                za, ra, obj = za[live], ra[live], obj[live]
+                za, ra, obj, t = za[live], ra[live], obj[live], t[live]
                 if act.size == 0:
                     break
+            grad, curv = _smoothed_derivatives(ra, d2, p, t)
         z[act], r[act] = za, ra
         if p == 1:
             last = delta == _DELTAS[-1]
-            ok, x_ok, value_ok = _crossover(B, A[todo], np.abs(r) + shut, cut, last)
-            x[todo[ok]], value[todo[ok]], converged[todo[ok]] = x_ok[ok], value_ok[ok], True
-            if ok.any():
-                keep = ~ok
-                todo, M, c, z, r, shut = todo[keep], M[keep], c[keep], z[keep], r[keep], shut[keep]
-                if todo.size == 0:
-                    break
+            key = np.where(shut, np.inf, np.abs(r))
+            ok, x_ok, value_ok = _crossover(B, A[todo], key, cut, last)
+        elif delta == _DELTAS[0]:
+            continue  # no bracket measured at 1e-2 closed: the check only costs there
+        else:
+            lo, hi = _bracket(B, A[todo], r, shut, p)
+            ok = np.abs(hi - lo) <= _BRACKET_RTOL * hi
+        if ok.any():
+            # certified: the row retires for good, even from a stage that ran
+            # out of Newton steps
+            i = todo[ok]
+            if p == 1:
+                x[i], value[i] = x_ok[ok], value_ok[ok]
+            else:
+                x[i] = _assemble(z[ok], A[i], k[i], rest[i])
+                value[i] = np.sum(np.abs(r[ok]) ** p, axis=1)
+            converged[i] = True
+            keep = ~ok
+            todo, M, c, z, r, shut = todo[keep], M[keep], c[keep], z[keep], r[keep], shut[keep]
+            if todo.size == 0:
+                break
 
     if p != 1:
         x[todo] = _assemble(z, A[todo], k[todo], rest[todo])
@@ -456,7 +555,8 @@ def min_lp_on_hyperplane(B, a, p) -> RegressionSolution:
     p = 1, the LP's optimal vertex, certified by a dual point (or solved by
     HiGHS).  ``iterations`` counts Newton steps, HiGHS's iterations where
     HiGHS solved the LP, and 0 without a solve; at p = 1 ``status`` is
-    always "optimal".
+    always "optimal", and at any other p it is "optimal" too when the
+    primal/dual bracket certified the value before the iterations ran out.
     """
     B = as_matrix(B)
     a = as_vector(a)
@@ -486,9 +586,11 @@ def sensitivities_wrt(M, B, p) -> np.ndarray:
 
     Zero rows get 0.0 and every other row 1 / value of ``_minimize``: inf
     for a row outside the row space of B, at every p.  A row's value does not
-    depend on which rows share its batch.  Raises NonConvergenceError when
-    any row's IRLS solve runs out of iterations at p != 1 (at p = 1 every
-    value is a certified or HiGHS-solved LP optimum).
+    depend on which rows share its batch.  At p != 1 a row's IRLS solve
+    ends as soon as a primal/dual bracket certifies its value to 1e-12
+    relative; raises NonConvergenceError when any row is neither certified
+    nor converged within the iteration limit (at p = 1 every value is a
+    certified or HiGHS-solved LP optimum).
     """
     M = as_matrix(M)
     B = as_matrix(B)

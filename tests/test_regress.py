@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     min_l1_on_hyperplane_linprog,
@@ -10,7 +12,9 @@ from conftest import (
     sensitivity_grid_2d,
 )
 from lpsens.core import NonConvergenceError
+from lpsens.reduce import default_anchor_scale
 from lpsens.regress import (
+    _bracket,
     _min_lp_irls,
     min_lp_on_hyperplane,
     sensitivities_exact,
@@ -280,17 +284,33 @@ class TestBatchedIrls:
     def polished_minimum(b, a, p, x, steps=8):
         """Newton's method on the unsmoothed sum |B x|^p over a @ x = 1, from x.
 
-        x = a / |a|^2 + Q y with Q an orthonormal basis of a's null space."""
+        x = a / |a|^2 + Q y with Q an orthonormal basis of a's null space.  A
+        step that would raise the sum is halved (near p = 1 a full step
+        overshoots the residuals close to 0), and the polish stops where no
+        halving helps or a residual is exactly 0, where p < 2 has no Hessian."""
         q = np.linalg.qr(a[:, None], mode="complete")[0][:, 1:]
         x0 = a / (a @ a)
         bq, c = b @ q, b @ x0
+
+        def objective(y):
+            return np.sum(np.abs(bq @ y + c) ** p)
+
         y = q.T @ (x - x0)
         for _ in range(steps):
             r = bq @ y + c
+            if p < 2.0 and not np.all(r):
+                break
             grad = bq.T @ (np.sign(r) * np.abs(r) ** (p - 1.0))
             hess = (p - 1.0) * (bq * (np.abs(r) ** (p - 2.0))[:, None]).T @ bq
-            y = y - np.linalg.solve(hess, grad)
-        return np.sum(np.abs(bq @ y + c) ** p)
+            step, before = np.linalg.solve(hess, grad), objective(y)
+            for _ in range(60):
+                if objective(y - step) <= before:
+                    break
+                step *= 0.5
+            else:
+                break
+            y = y - step
+        return objective(y)
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("p", [3.0, 5.0])
@@ -304,6 +324,59 @@ class TestBatchedIrls:
         assert converged.all()
         ref = [self.polished_minimum(b, b[i], p, x[i]) for i in range(b.shape[0])]
         np.testing.assert_allclose(value, ref, rtol=1e-10)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_reduction_anchor_row_retires_on_its_bracket(self, p):
+        # the regression reduction's [A -b; 0 -lam]: the anchor row is itself a
+        # row of B, parallel to a, so no active set may take it.  Its bracket
+        # closes while delta is still large, so the row never walks all the
+        # smoothing stages (each takes at least one Newton step)
+        import lpsens.regress as regress
+
+        g = np.random.default_rng(3)
+        a = g.standard_normal((300, 4)) * np.exp(g.uniform(-1.0, 1.0, 300))[:, None]
+        b = a @ g.standard_normal(4) + g.standard_t(3, 300)
+        aug = np.zeros((301, 5))
+        aug[:300, :4], aug[:300, 4], aug[300, 4] = a, -b, -default_anchor_scale(a)
+        sol = min_lp_on_hyperplane(aug, aug[300], p)
+        assert sol.status == "optimal"
+        assert sol.iterations < len(regress._DELTAS)
+        ref = self.polished_minimum(aug, aug[300], p, sol.x_opt)
+        assert sol.value == pytest.approx(ref, rel=1e-10)
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 5),
+        p=st.sampled_from([1.01, 1.5, 3.0, 8.0, 24.0]),
+    )
+    def test_bracket_bounds_the_minimum(self, seed, d, p):
+        # Student-t(2) entries with row scales exp(U(-2, 2)).  At the p = 2
+        # minimizers (far from the minimum: at p = 1.01, q = 101 and a plain
+        # |v_S|^q overflows) and at the IRLS result the bracket is finite and
+        # holds the polished minimum, up to rounding where it closes; a bracket
+        # that closes has the polished minimum as its hi
+        import warnings
+
+        g = np.random.default_rng(seed)
+        n = int(g.integers(d + 3, 60))
+        b = g.standard_t(2, (n, d)) * np.exp(g.uniform(-2.0, 2.0, n))[:, None]
+        rows = g.permutation(n)[:4]
+        shut = np.arange(n) == rows[:, None]  # a = B_i is parallel to B_i
+        start = np.linalg.solve(b.T @ b, b[rows].T).T
+        start /= np.sum(start * b[rows], axis=1)[:, None]
+        x, value, converged, _ = _min_lp_irls(b, b[rows], p)
+        ref = np.array([self.polished_minimum(b, b[i], p, x[k]) for k, i in enumerate(rows)])
+        for point in (start, x):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                lo, hi = _bracket(b, b[rows], point @ b.T, shut, p)
+            assert np.all(np.isfinite(lo) & np.isfinite(hi) & (lo >= 0.0))
+            assert np.all(lo <= ref * (1.0 + 1e-12))
+            assert np.all(ref <= hi * (1.0 + 1e-12))
+        closed = converged & (np.abs(hi - lo) <= 1e-12 * hi)
+        np.testing.assert_allclose(hi[closed], ref[closed], rtol=1e-10)
+        np.testing.assert_allclose(value[closed], ref[closed], rtol=1e-10)
 
 
 class TestBatchedLp:

@@ -1,8 +1,10 @@
 """Statistical leverage scores, exact and sketched.
 
-The exact scores come from the same column-pivoted QR and RANK_TOL cut that
-``matrix_rank`` and the estimators' rank gate use, so all three agree on the
-rank of a matrix.
+The exact scores are squared row norms of the orthonormal basis that
+``matrix_rank`` and the estimators' rank gate decide the rank from
+(``core.orthonormal_basis``): CholeskyQR2 where the Gram's Cholesky factor
+certifies full column rank, else the column-pivoted QR and its RANK_TOL cut.
+All three agree on the rank of a matrix.
 
 The sketched scores compress A with a sparse sign embedding (OSNAP in block
 form; Nelson and Nguyen 2013): r sketch rows split into s = SKETCH_BLOCKS = 8
@@ -11,8 +13,8 @@ of s, and each row of A lands on one random row of every block with sign
 +-1/sqrt(s).  Each estimate keeps the window [tau_i/(1+eps)^2,
 tau_i/(1-eps)^2] whenever the sketch is a (1 +- eps) subspace embedding.
 Drawing and applying the sketch takes s n integer draws, O(s n d) flops and
-O(s n + r d) memory.  S A has rank d only if A does, so a pivoted QR of the
-small sketch, not of A, certifies the full column rank the estimate needs.
+O(s n + r d) memory.  S A has rank d only if A does, so ``matrix_rank`` of
+the small sketch, not of A, certifies the full column rank the estimate needs.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .core import (
     WeightVector,
     as_matrix,
     matrix_rank,
-    pivoted_qr,
+    orthonormal_basis,
     require_tall_full_rank,
 )
 
@@ -40,17 +42,18 @@ SKETCH_BLOCKS = 8
 def leverage_exact(a) -> WeightVector:
     """Leverage score of every row: tau_i = a_i @ pinv(A^T A) @ a_i.
 
-    Computed as squared row norms of the first rank columns of q from the
-    pivoted QR that decides the rank everywhere else, which keeps the values
-    in [0, 1] and their sum equal to that rank.  Works for any shape and rank.
-    Given a ``GatedMatrix`` it reads q off the gate's QR, whose rank is d, so
-    the scores are the same bits without a second QR.
+    Computed as squared row norms of the first rank columns of the basis q
+    that decides the rank everywhere else (CholeskyQR2 on a certified full
+    rank, else the pivoted QR), which keeps the values in [0, 1] and their
+    sum equal to that rank.  Works for any shape and rank.  Given a
+    ``GatedMatrix`` it reads q off the gate's factorization, whose rank is
+    d, so the scores are the same bits without a second one.
     """
     if isinstance(a, GatedMatrix):
         q = a.q
     else:
-        qr = pivoted_qr(a)
-        q = qr.q[:, : qr.rank]
+        basis = orthonormal_basis(as_matrix(a))
+        q = basis.q[:, : basis.rank]
     vals = np.einsum("ij,ij->i", q, q)
     return WeightVector(values=np.clip(vals, 0.0, 1.0), kind="leverage", p=2.0)
 
@@ -80,12 +83,13 @@ def leverage_approx(a, eps: float, rng: RandomSource) -> WeightVector:
     O(SKETCH_BLOCKS n d) for the sketch plus O(n d^2) for the preconditioned
     rows, with O(SKETCH_BLOCKS n + r d) working memory beyond them.
 
-    Requires full column rank, and the rank of the r x d sketch proves it: a
-    pivoted QR of the sketch replaces the rank gate's QR of A, which runs
-    only when the sketch falls short of rank d (as it does whenever A is
-    wide) and then raises RankDeficientError on a rank-deficient A.  An A whose QR diagonal
-    ratio lies within the sketch's distortion of RANK_TOL may therefore pass
-    where the gate alone would refuse it.
+    Requires full column rank, and the rank of the r x d sketch proves it:
+    ``matrix_rank`` of the sketch replaces the rank gate's factorization of
+    A, which runs only when the sketch falls short of rank d (as it does
+    whenever A is wide) and then raises RankDeficientError on a
+    rank-deficient A.  An A whose QR diagonal ratio lies within the sketch's
+    distortion of RANK_TOL may therefore pass where the gate alone would
+    refuse it.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")

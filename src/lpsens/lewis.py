@@ -2,11 +2,11 @@
 
 The fixed point w_i = tau_i(W^(1/2 - 1/p) A) needs leverage scores of
 row-scaled copies of A, and those stay the same when A is replaced by any
-basis of its column space.  ``lewis_weights`` therefore keeps the q factor of
-the pivoted QR that decided the rank of A (its own rank gate's, or the one
-an estimator's ``GatedMatrix`` carries in), and each iteration costs one
-d x d Cholesky: with s = w^(1/2 - 1/p), G = (sQ)^T (sQ) = L L^T
-and tau_i = |L^-1 s_i q_i|^2.  Q has orthonormal columns, so cond(G) is
+basis of its column space.  ``lewis_weights`` therefore keeps the orthonormal
+q that decided the rank of A (CholeskyQR2 on a certified full rank, else the
+pivoted QR; its own rank gate's, or the one an estimator's ``GatedMatrix``
+carries in), and each iteration costs one d x d Cholesky: with
+s = w^(1/2 - 1/p), G = (sQ)^T (sQ) = L L^T and tau_i = |L^-1 s_i q_i|^2.  Q has orthonormal columns, so cond(G) is
 bounded by the spread of the weights, not by cond(A)^2.  At p = 2 the
 scaling W^0 is the identity and the weights are the squared row norms of Q,
 with no iteration at all.

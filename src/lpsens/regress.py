@@ -52,6 +52,7 @@ from .core import (
     WeightVector,
     as_matrix,
     as_vector,
+    certified_cholesky,
     check_exponent,
     pseudoinverse_gram,
     require_tall_full_rank,
@@ -176,18 +177,21 @@ _CHUNK_ELEMENTS = 1 << 21
 def _minimize(B, A, p):
     """min ||B x||_p^p subject to a @ x = 1 for every row a of A (none zero).
 
-    B's R factor gives the Gram pseudoinverse G and an orthonormal basis V of
-    the row space, cut where ``pseudoinverse_gram`` cuts.  A row with an
-    entry of n = a - a V^T V above 1e-6 |a|_inf is outside: value 0 at
-    x = n / (a @ n), no solve.  Then p = 2 gives x = G a / (a G a) with value
-    1 / (a G a).  Any other p on a rank-deficient B (V has fewer than d rows)
-    is solved in the coordinates y = x V^T of the row space, where B V^T has
-    full column rank and every inside row stays inside, so no second rank
-    decision is made; x = y V maps back.  In the coordinates solved in (x
-    itself on a full-rank B), one coordinate forces y = 1 / a and any more
-    run ``_min_lp_irls``, each row on its own numbers.  Returns per-row arrays
-    (x_opt, value, converged, iterations), iterations being Newton steps
-    (HiGHS iterations on a p = 1 row HiGHS solves) and 0 without a solve.
+    B's R factor gives the Gram pseudoinverse G.  Where ``certified_cholesky``
+    proves B has full column rank, R is that Cholesky factor and every row
+    lies in the row space.  Otherwise R comes from a Householder QR of B, and
+    its SVD gives an orthonormal basis V of the row space, cut where
+    ``pseudoinverse_gram`` cuts; a row with an entry of n = a - a V^T V above
+    1e-6 |a|_inf is outside: value 0 at x = n / (a @ n), no solve.  Then
+    p = 2 gives x = G a / (a G a) with value 1 / (a G a).  Any other p on a
+    rank-deficient B (V has fewer than d rows) is solved in the coordinates
+    y = x V^T of the row space, where B V^T has full column rank and every
+    inside row stays inside, so no second rank decision is made; x = y V
+    maps back.  In the coordinates solved in (x itself on a full-rank B),
+    one coordinate forces y = 1 / a and any more run ``_min_lp_irls``, each
+    row on its own numbers.  Returns per-row arrays (x_opt, value,
+    converged, iterations), iterations being Newton steps (HiGHS iterations
+    on a p = 1 row HiGHS solves) and 0 without a solve.
 
     B and A are first scaled by 2^-e, e the binary exponent of B's largest
     entry, and x by the same factor at the end: that is exact in floating
@@ -197,22 +201,26 @@ def _minimize(B, A, p):
     K, d = A.shape
     e = np.frexp(np.abs(B).max())[1]
     B, A = np.ldexp(B, -e), np.ldexp(A, -e)
-    R = np.linalg.qr(B, mode="r")  # R^T R = B^T B; cheaper to factor than B
-    _, sv, vt = np.linalg.svd(R, full_matrices=False)
-    V = vt[sv > RANK_TOL * sv[0]]
-    null = A - np.einsum("ik,kj->ij", np.einsum("ij,kj->ik", A, V), V)
-    outside = np.abs(null).max(axis=1) > 1e-6 * np.abs(A).max(axis=1)
     x, value = np.empty((K, d)), np.zeros(K)
     converged, iterations = np.ones(K, dtype=bool), np.zeros(K, dtype=np.intp)
-    out, rest = np.flatnonzero(outside), np.flatnonzero(~outside)
-    x[out] = null[out] / np.einsum("ij,ij->i", A[out], null[out])[:, None]
+    factor = certified_cholesky(B)
+    if factor is not None:
+        R, reduced, rest = factor.r, False, np.arange(K)
+    else:
+        R = np.linalg.qr(B, mode="r")  # R^T R = B^T B; cheaper to factor than B
+        _, sv, vt = np.linalg.svd(R, full_matrices=False)
+        V = vt[sv > RANK_TOL * sv[0]]
+        reduced = V.shape[0] < d
+        null = A - np.einsum("ik,kj->ij", np.einsum("ij,kj->ik", A, V), V)
+        outside = np.abs(null).max(axis=1) > 1e-6 * np.abs(A).max(axis=1)
+        out, rest = np.flatnonzero(outside), np.flatnonzero(~outside)
+        x[out] = null[out] / np.einsum("ij,ij->i", A[out], null[out])[:, None]
     inner = A[rest]
     if p == 2:
         G = pseudoinverse_gram(R)
         s = np.einsum("ij,jk,ik->i", inner, G, inner)
         x[rest], value[rest] = np.einsum("ij,jk->ik", inner, G) / s[:, None], 1.0 / s
     elif rest.size:
-        reduced = V.shape[0] < d
         if reduced:
             # a rank-deficient B makes vertices and Newton systems singular;
             # B V^T has full column rank and no row of A V^T leaves its row space

@@ -42,6 +42,35 @@ def random_tall(rng, n, d, scale_rows=False):
     return a
 
 
+def factorization_shapes(monkeypatch, call):
+    """The factorizations ``call`` decides a rank with, in order:
+    ("cholesky", shape) for each ``certified_cholesky`` in ``lpsens.core``
+    that certifies, and ("pivoted", shape) for each column-pivoted
+    ``scipy.linalg.qr``.  Bindings imported into other modules are not
+    spied on."""
+    import scipy.linalg
+
+    import lpsens.core as core
+
+    qr, certify, seen = scipy.linalg.qr, core.certified_cholesky, []
+
+    def counting_qr(x, *args, **kwargs):
+        if kwargs.get("pivoting"):
+            seen.append(("pivoted", np.shape(x)))
+        return qr(x, *args, **kwargs)
+
+    def counting_certify(x):
+        factor = certify(x)
+        if factor is not None:
+            seen.append(("cholesky", np.shape(x)))
+        return factor
+
+    monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
+    monkeypatch.setattr(core, "certified_cholesky", counting_certify)
+    call()
+    return seen
+
+
 def grid_directions(steps=20000):
     theta = np.linspace(0.0, np.pi, steps, endpoint=False)
     return np.column_stack([np.cos(theta), np.sin(theta)])

@@ -7,12 +7,14 @@ from lpsens.core import (
     WeightVector,
     as_matrix,
     as_vector,
+    certified_cholesky,
     lp_norm,
     matrix_rank,
     pivoted_qr,
     pseudoinverse_gram,
     require_tall_full_rank,
 )
+from lpsens.leverage import leverage_exact
 
 
 class TestLpNorm:
@@ -100,6 +102,137 @@ class TestRank:
         np.testing.assert_allclose(
             pseudoinverse_gram(a), np.linalg.pinv(a.T @ a), atol=1e-8
         )
+
+
+def _conditioned(n, d, cond, seed):
+    """U diag(s) V^T with s from 1 down to 1 / cond, rows scaled by exp U(-2, 2)."""
+    g = np.random.default_rng(seed)
+    u = np.linalg.qr(g.standard_normal((n, d)))[0]
+    v = np.linalg.qr(g.standard_normal((d, d)))[0]
+    a = (u * np.logspace(0.0, -np.log10(cond), d)) @ v.T
+    return a * np.exp(g.uniform(-2.0, 2.0, n))[:, None]
+
+
+def _gate_outcome(a):
+    """The gate's rank error message, or None when it passes."""
+    try:
+        require_tall_full_rank(a)
+    except RankDeficientError as err:
+        return str(err)
+    return None
+
+
+def _pivoted_outcome(a):
+    """What the gate raised when the pivoted QR alone decided it."""
+    n, d = a.shape
+    if n < d:
+        return f"matrix must be tall, got shape ({n}, {d})"
+    rank = pivoted_qr(a).rank
+    if rank < d:
+        return f"matrix has column rank {rank} < {d}; estimators need full column rank"
+    return None
+
+
+def _extended_leverage(a):
+    """Leverage scores from Gram-Schmidt twice over in extended precision."""
+    q = a.astype(np.longdouble)
+    for j in range(q.shape[1]):
+        for _ in range(2):
+            q[:, j] -= q[:, :j] @ (q[:, :j].T @ q[:, j])
+        q[:, j] /= np.sqrt(q[:, j] @ q[:, j])
+    return np.sum(q * q, axis=1).astype(np.float64)
+
+
+_SHAPES = [(200, 4), (2000, 16)]
+_CONDS = [float(c) for c in 10.0 ** np.arange(0.0, 14.5, 0.5)]
+
+
+class TestCholeskyCertificate:
+    """The Gram's Cholesky factor decides rank d only where the pivoted QR does."""
+
+    @pytest.mark.parametrize("shape", _SHAPES, ids=["200x4", "2000x16"])
+    def test_cond_sweep_reaches_the_pivoted_qr_decision(self, shape):
+        certified = []
+        for k, cond in enumerate(_CONDS):
+            a = _conditioned(*shape, cond, seed=k)
+            factor = certified_cholesky(a)
+            certified.append(factor is not None)
+            assert matrix_rank(a) == pivoted_qr(a).rank, cond
+            assert _gate_outcome(a) == _pivoted_outcome(a), cond
+            if factor is not None:
+                # the bound the certificate rests on: cond_2(A) < 2 kappa
+                kappa = np.linalg.norm(factor.r) * np.linalg.norm(factor.r_inv)
+                assert np.linalg.cond(a) < 2.0 * kappa
+                assert pivoted_qr(a).rank == shape[1]
+        # the sweep crosses the certificate once: certified, then refused
+        assert certified[0] and not certified[-1]
+        assert certified == sorted(certified, reverse=True)
+        # and RANK_TOL later still, so refused inputs of both ranks are seen
+        assert pivoted_qr(_conditioned(*shape, _CONDS[-1], seed=len(_CONDS) - 1)).rank < shape[1]
+
+    @pytest.mark.parametrize("shape", _SHAPES, ids=["200x4", "2000x16"])
+    def test_certified_leverage_row_by_row(self, shape):
+        if np.finfo(np.longdouble).eps > 1e-18:
+            pytest.skip("no extended precision for the reference")
+        for k, cond in enumerate(_CONDS):
+            a = _conditioned(*shape, cond, seed=k)
+            factor = certified_cholesky(a)
+            if factor is None:
+                continue
+            fast = leverage_exact(a).values
+            q = pivoted_qr(a).q
+            pivoted = np.einsum("ij,ij->i", q, q)
+            ref = _extended_leverage(a)
+            assert fast.min() < 1e-3 * fast.max()  # tiny scores are in the sweep
+            # a row's score moves by about u kappa relative under rounding of A;
+            # CholeskyQR2 stays within that, row by row (measured: <= 0.15 u kappa)
+            kappa = np.linalg.norm(factor.r) * np.linalg.norm(factor.r_inv)
+            eps = np.finfo(np.float64).eps
+            np.testing.assert_allclose(fast, ref, rtol=max(1e-13, eps * kappa), atol=0)
+            if cond <= 10.0:
+                # where the Householder QR itself holds 1e-12 (it errs by up to
+                # 16 u kappa on these row-scaled matrices), the two agree to it
+                np.testing.assert_allclose(fast, pivoted, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "case", ["duplicated_column", "zero_column", "zero_rows", "wide", "square", "one_column"]
+    )
+    def test_structured_inputs_match_the_pivoted_qr(self, np_rng, case):
+        a = np_rng.standard_normal((40, 4)) * np.exp(np_rng.uniform(-2, 2, 40))[:, None]
+        if case == "duplicated_column":
+            a[:, 3] = a[:, 1]
+        elif case == "zero_column":
+            a[:, 2] = 0.0
+        elif case == "zero_rows":
+            a[[0, 7, 39]] = 0.0
+        elif case == "wide":
+            a = a[:3]
+        elif case == "square":
+            a = a[:4]
+        elif case == "one_column":
+            a = a[:, :1]
+        full = case in ("zero_rows", "square", "one_column")
+        assert (certified_cholesky(a) is not None) == full
+        assert matrix_rank(a) == pivoted_qr(a).rank
+        assert _gate_outcome(a) == _pivoted_outcome(a)
+        if full:
+            q = pivoted_qr(a).q
+            np.testing.assert_allclose(
+                leverage_exact(a).values, np.einsum("ij,ij->i", q, q), rtol=1e-12, atol=1e-15
+            )
+
+    @pytest.mark.parametrize("k", [900, -560, -900])
+    def test_power_of_two_scales_are_certified_and_keep_every_bit(self, np_rng, k):
+        a = np_rng.standard_normal((300, 5)) * np.exp(np_rng.uniform(-2, 2, 300))[:, None]
+        scaled = np.ldexp(a, k)
+        assert certified_cholesky(scaled) is not None
+        assert matrix_rank(scaled) == 5
+        np.testing.assert_array_equal(leverage_exact(scaled).values, leverage_exact(a).values)
+        np.testing.assert_array_equal(require_tall_full_rank(scaled).q, require_tall_full_rank(a).q)
+        # a rank-deficient A is refused at every scale and decided by the QR
+        a[:, 4] = a[:, 0]
+        assert certified_cholesky(np.ldexp(a, k)) is None
+        assert _gate_outcome(np.ldexp(a, k)) == _pivoted_outcome(np.ldexp(a, k)) is not None
 
 
 class TestRandomSource:

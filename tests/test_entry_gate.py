@@ -1,22 +1,27 @@
 """Every public entry point factors its input at most once, and the gate holds everywhere.
 
-An entry point that reads the q factor of the rank gate's column-pivoted QR
-makes that QR its only factorization of the input matrix: Lewis weights,
-embeddings and exact leverage scores below it reuse the gate's q.  The two
-calls that read no q, ``lp_embedding`` with given weights and
-``leverage_approx``, prove full rank on a row sample or a sketch instead and
-run the gate only when that proof falls short.  ``scipy.linalg.qr`` is
-counted on the input's own n x d shape; the matrices are tall enough that no
-sampled embedding keeps every row, so a rank check of a sample never has that
-shape.
+An entry point that reads the gate's q factor makes the factorization that
+decided the rank its only factorization of the input matrix: Lewis weights,
+embeddings and exact leverage scores below it reuse the gate's q.  That
+factorization is CholeskyQR2 from a certified Cholesky factor of the Gram
+matrix (``core.certified_cholesky``), or the column-pivoted QR where the
+certificate refuses the input.  The two calls that read no q,
+``lp_embedding`` with given weights and ``leverage_approx``, prove full rank
+on a row sample or a sketch instead and run the gate only when that proof
+falls short.
+
+``factorization_shapes`` counts both kinds on the input's own n x d shape;
+the matrices are tall enough that no sampled embedding keeps every row, so a
+rank check of a sample never has that shape.  The oracle's factor of its own
+B (``regress._minimize``) decides no rank for the entry point and is not
+counted.
 """
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import lpsens as L
-from conftest import random_tall
+from conftest import factorization_shapes, random_tall
 
 N, D = 2000, 3
 
@@ -63,31 +68,37 @@ _UNGATED = {
 }
 
 
-def _pivoted_qr_shapes(monkeypatch, call):
-    qr = scipy.linalg.qr
-    shapes = []
-
-    def counting_qr(x, *args, **kwargs):
-        if kwargs.get("pivoting"):
-            shapes.append(np.shape(x))
-        return qr(x, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
-    call()
-    return shapes
-
-
+# the test names predate the Cholesky certificate: each counts factorizations
+# of the input, certified Cholesky and pivoted QR alike
 @pytest.mark.parametrize("entry", list(_ENTRIES))
 def test_one_pivoted_qr_of_the_input_per_call(tall, monkeypatch, entry):
     a = tall[:200] if entry in _SOLVES_EVERY_ROW else tall
-    shapes = _pivoted_qr_shapes(monkeypatch, lambda: _ENTRIES[entry](a, L.RandomSource(5)))
-    assert shapes.count(a.shape) == 1, shapes
+    seen = factorization_shapes(monkeypatch, lambda: _ENTRIES[entry](a, L.RandomSource(5)))
+    assert [shape for _, shape in seen].count(a.shape) == 1, seen
 
 
 @pytest.mark.parametrize("entry", list(_UNGATED))
 def test_no_pivoted_qr_of_the_input_without_a_q_reader(tall, monkeypatch, entry):
-    shapes = _pivoted_qr_shapes(monkeypatch, lambda: _UNGATED[entry](tall, L.RandomSource(5)))
-    assert shapes and shapes.count(tall.shape) == 0, shapes
+    seen = factorization_shapes(monkeypatch, lambda: _UNGATED[entry](tall, L.RandomSource(5)))
+    # the sample's or sketch's own rank check is the one factorization
+    assert seen and [shape for _, shape in seen].count(tall.shape) == 0, seen
+
+
+def _ill_conditioned(rng, n, d, cond):
+    """Rows of U diag(s) V^T, s from 1 to 1 / cond, scaled by exp U(-2, 2)."""
+    u = np.linalg.qr(rng.standard_normal((n, d)))[0]
+    v = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    a = (u * np.logspace(0, -np.log10(cond), d)) @ v.T
+    return a * np.exp(rng.uniform(-2.0, 2.0, n))[:, None]
+
+
+@pytest.mark.parametrize("entry", ["exact p=2", "max p=1.5", "lewis_weights"])
+def test_ill_conditioned_input_takes_one_pivoted_qr(monkeypatch, entry):
+    # cond ~ 1e8 is past the Cholesky certificate and far inside RANK_TOL:
+    # the pivoted QR decides rank d, and nothing else factors the input
+    a = _ill_conditioned(np.random.default_rng(8), 2000, 3, 1e8)
+    seen = factorization_shapes(monkeypatch, lambda: _ENTRIES[entry](a, L.RandomSource(5)))
+    assert [x for x in seen if x[1] == a.shape] == [("pivoted", a.shape)], seen
 
 
 def _wide(rng):

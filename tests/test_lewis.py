@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import leverage_svd_oracle, random_tall
+from conftest import factorization_shapes, leverage_svd_oracle, random_tall
 from lpsens.core import NonConvergenceError, require_tall_full_rank
 from lpsens.leverage import leverage_exact
 from lpsens.lewis import LewisConfig, lewis_weights
@@ -163,19 +163,12 @@ class TestFixedPoint:
         np.testing.assert_array_equal(w[live], lewis_weights(a[live], LewisConfig(p=1)).values)
 
     def test_zero_rows_reuse_the_gate_qr(self, np_rng, monkeypatch):
-        import scipy.linalg
-
+        # one factorization, the gate's, even with zero rows dropped from q
         a = random_tall(np_rng, 60, 4, scale_rows=True)
         a[[5, 17]] = 0.0
-        qr, calls = scipy.linalg.qr, []
-
-        def counting_qr(x, *args, **kwargs):
-            calls.append(np.shape(x))
-            return qr(x, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
+        seen = factorization_shapes(monkeypatch, lambda: lewis_weights(a, LewisConfig(p=1.5)))
+        assert seen == [("cholesky", a.shape)]
         w = lewis_weights(a, LewisConfig(p=1.5)).values
-        assert calls == [a.shape]
         assert w[5] == 0.0 and w[17] == 0.0 and w.sum() == pytest.approx(4.0, abs=1e-5)
 
     def test_power_of_two_scale_keeps_the_weights(self, np_rng):

@@ -293,7 +293,10 @@ class TestBatchedIrls:
         bq, c = b @ q, b @ x0
 
         def objective(y):
-            return np.sum(np.abs(bq @ y + c) ** p)
+            # an overshooting trial step may overflow at large p: inf is then
+            # worse than any finite sum, and the step is halved
+            with np.errstate(over="ignore"):
+                return np.sum(np.abs(bq @ y + c) ** p)
 
         y = q.T @ (x - x0)
         for _ in range(steps):

@@ -199,7 +199,7 @@ def _minimize(B, A, p):
     entries of order one, so a result does not depend on the input's scale.
     """
     K, d = A.shape
-    e = np.frexp(np.abs(B).max())[1]
+    e = np.frexp(max(B.max(), -B.min()))[1]  # |B|'s largest entry, without forming |B|
     B, A = np.ldexp(B, -e), np.ldexp(A, -e)
     x, value = np.empty((K, d)), np.zeros(K)
     converged, iterations = np.ones(K, dtype=bool), np.zeros(K, dtype=np.intp)

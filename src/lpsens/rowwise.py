@@ -6,6 +6,11 @@ estimated by the most sensitive sign combination its block produced,
 measured against a sampled lp embedding of the matrix.  The median over
 independent repetitions is reported per row.
 
+A repetition draws its block partition and all its signs from one stream
+each, combines every block with one batched product (the float signs in
+chunks of ``_SIGN_BUDGET``) and makes one oracle call, so its count of
+array operations does not grow with n / alpha below that budget.
+
 The estimate for row i overshoots sigma_p(a_i) by at most roughly
 alpha^(p-1) plus an alpha^p / n share of the total sensitivity, and
 undershoots only with the probability that every sign combination cancels
@@ -59,14 +64,24 @@ class RowwiseResult:
     per_repetition: np.ndarray  # repetitions x n block estimates
 
 
+# float signs held at a time (2 MB), so memory does not grow with
+# n * signs_per_block; the output does not depend on it
+_SIGN_BUDGET = 1 << 18
+
+
 def random_blocks(n: int, alpha: int, rng: RandomSource) -> list[np.ndarray]:
     """Random partition of range(n) into ceil(n / alpha) blocks.
 
-    All blocks have size alpha except a final shorter one when alpha does
-    not divide n.
+    Block b is entries b * alpha to (b + 1) * alpha of ``_block_order``'s
+    permutation, so all blocks have size alpha except a final shorter one
+    when alpha does not divide n.
     """
-    perm = rng.generator().permutation(n)
-    return [perm[i : i + alpha] for i in range(0, n, alpha)]
+    order = _block_order(n, rng)
+    return [order[i : i + alpha] for i in range(0, n, alpha)]
+
+
+def _block_order(n: int, rng: RandomSource) -> np.ndarray:
+    return rng.generator().permutation(n)
 
 
 def sensitivities_rowwise(a, cfg: RowwiseConfig, rng: RandomSource) -> RowwiseResult:
@@ -80,23 +95,38 @@ def sensitivities_rowwise(a, cfg: RowwiseConfig, rng: RandomSource) -> RowwiseRe
     embedding = lp_embedding(gated, cfg.p, cfg.embed_eps, rng.child("embed"))
     sa = embedding.materialize(a)
 
+    signs_per_block, alpha = cfg.signs_per_block, cfg.alpha
+    nb = -(-n // alpha)
+    # the permuted rows, zero-padded to whole blocks: a zero row adds nothing
+    # to a sign combination, so the short last block needs no special case
+    rows = np.zeros((nb * alpha, d))
+    blocks = rows.reshape(nb, alpha, d)
+    # row j of block b's combinations sits at b * signs_per_block + j
+    compressed = np.empty((nb, signs_per_block, d))
+    step = max(1, _SIGN_BUDGET // (signs_per_block * alpha))
     per_rep = np.empty((cfg.repetitions, n))
     calls = 0
     for rep in range(cfg.repetitions):
         rep_rng = rng.child("rep", rep)
-        blocks = random_blocks(n, cfg.alpha, rep_rng.child("blocks"))
-        compressed = []
-        for bi, block in enumerate(blocks):
-            gen = rep_rng.child("signs", bi).generator()
-            signs = gen.integers(0, 2, size=(cfg.signs_per_block, block.size)) * 2.0 - 1.0
-            compressed.append(signs @ a[block])
-        # one oracle call per repetition; row j of block b sits at b * signs_per_block + j
-        sens = sensitivities_wrt(np.vstack(compressed), sa, cfg.p)
+        order = _block_order(n, rep_rng.child("blocks"))
+        # order is a permutation of range(n), so "clip" never acts; it keeps
+        # take from buffering its output as mode="raise" does
+        np.take(a, order, axis=0, out=rows[:n], mode="clip")
+        draw = rep_rng.child("signs").generator().integers(
+            0, 2, size=(nb, signs_per_block, alpha), dtype=np.bool_
+        )
+        for lo in range(0, nb, step):
+            signs = np.multiply(draw[lo : lo + step], 2.0, dtype=np.float64)
+            signs -= 1.0
+            np.matmul(signs, blocks[lo : lo + step], out=compressed[lo : lo + step])
+        # one oracle call per repetition
+        sens = sensitivities_wrt(compressed.reshape(-1, d), sa, cfg.p)
         calls += sens.size
-        for block, top in zip(blocks, sens.reshape(len(blocks), -1).max(axis=1)):
-            per_rep[rep, block] = top
+        per_rep[rep, order] = np.repeat(sens.reshape(nb, -1).max(axis=1), alpha)[:n]
 
-    estimates = np.median(per_rep, axis=0)
+    # the middle order statistic of an odd count, bit-equal to np.median
+    mid = cfg.repetitions // 2
+    estimates = np.partition(per_rep, mid, axis=0)[mid]
     weights = WeightVector(values=estimates, kind="sensitivity", p=float(cfg.p))
     return RowwiseResult(
         estimates=weights,

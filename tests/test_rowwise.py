@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_tall
-from lpsens.core import RandomSource
+from lpsens import rowwise
+from lpsens.core import RandomSource, require_tall_full_rank
 from lpsens.embed import lp_embedding
 from lpsens.lewis import LewisConfig, lewis_weights
 from lpsens.regress import sensitivities_exact, sensitivities_wrt
@@ -104,3 +105,52 @@ class TestEstimator:
         np.testing.assert_allclose(
             res.estimates.values, np.median(res.per_repetition, axis=0), atol=0
         )
+
+
+def per_block_rowwise(a, cfg, rng):
+    """Reference: one block at a time, on the estimator's streams.
+
+    The blocks are ``random_blocks``' partition; block b takes its signs from
+    slice b of the repetition's one draw, cut to the block's size, and gets
+    its own oracle call.
+    """
+    gated = require_tall_full_rank(a)
+    sa = lp_embedding(gated, cfg.p, cfg.embed_eps, rng.child("embed")).materialize(gated.a)
+    n = a.shape[0]
+    per_rep = np.empty((cfg.repetitions, n))
+    for rep in range(cfg.repetitions):
+        rep_rng = rng.child("rep", rep)
+        blocks = random_blocks(n, cfg.alpha, rep_rng.child("blocks"))
+        draw = rep_rng.child("signs").generator().integers(
+            0, 2, size=(len(blocks), cfg.signs_per_block, cfg.alpha), dtype=np.bool_
+        )
+        for b, block in enumerate(blocks):
+            signs = draw[b, :, : block.size].astype(np.float64) * 2.0 - 1.0
+            per_rep[rep, block] = sensitivities_wrt(signs @ a[block], sa, cfg.p).max()
+    return per_rep, np.median(per_rep, axis=0)
+
+
+class TestBatchedBlocks:
+    CASES = [
+        # (p, n, alpha, signs_per_block, repetitions)
+        (1, 23, 5, 4, 3),  # short last block of 3 rows
+        (2, 23, 5, 4, 5),
+        (2, 41, 10, 6, 1),  # short last block of 1 row
+        (1, 30, 6, 3, 1),  # alpha divides n
+        (2, 17, 1, 3, 3),  # alpha = 1: every block one row
+        (1, 12, 1, 2, 5),
+    ]
+
+    @pytest.mark.parametrize("p, n, alpha, signs, reps", CASES)
+    def test_reproduces_the_per_block_loop(self, np_rng, monkeypatch, p, n, alpha, signs, reps):
+        a = random_tall(np_rng, n, 3, scale_rows=True)
+        cfg = RowwiseConfig(p=p, alpha=alpha, signs_per_block=signs, repetitions=reps)
+        ref_rep, ref_est = per_block_rowwise(a, cfg, RandomSource(5))
+        res = sensitivities_rowwise(a, cfg, RandomSource(5))
+        np.testing.assert_array_equal(res.per_repetition, ref_rep)
+        np.testing.assert_array_equal(res.estimates.values, ref_est)
+        # float signs for one block at a time: the same outputs
+        monkeypatch.setattr(rowwise, "_SIGN_BUDGET", signs * alpha)
+        one = sensitivities_rowwise(a, cfg, RandomSource(5))
+        np.testing.assert_array_equal(one.per_repetition, ref_rep)
+        np.testing.assert_array_equal(one.estimates.values, ref_est)

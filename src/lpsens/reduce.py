@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import as_matrix, as_vector, check_exponent, require_tall_full_rank
+from .core import as_matrix, as_vector, certified_cholesky, check_exponent, require_tall_full_rank
 from .regress import sensitivities_wrt
 
 
@@ -27,9 +27,13 @@ def regression_via_sensitivity(a, b, p, lam=None) -> float:
     """min_y ||A y - b||_p^p recovered from one sensitivity of [A -b; 0 -lam].
 
     The value is exact (up to the sensitivity solver's tolerance) for every
-    lam > 0; lam only affects conditioning.
+    lam > 0; lam only affects conditioning.  A needs full column rank but no
+    q factor, so the Gram's certified Cholesky factor proves it, and only an
+    A the certificate refuses takes the rank gate, which raises or not.
     """
-    a = require_tall_full_rank(a).a
+    a = as_matrix(a)
+    if certified_cholesky(a) is None:
+        require_tall_full_rank(a)
     b = as_vector(b)
     n, d = a.shape
     if b.size != n:

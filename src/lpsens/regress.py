@@ -177,13 +177,15 @@ _CHUNK_ELEMENTS = 1 << 21
 def _minimize(B, A, p):
     """min ||B x||_p^p subject to a @ x = 1 for every row a of A (none zero).
 
-    B's R factor gives the Gram pseudoinverse G.  Where ``certified_cholesky``
-    proves B has full column rank, R is that Cholesky factor and every row
-    lies in the row space.  Otherwise R comes from a Householder QR of B, and
-    its SVD gives an orthonormal basis V of the row space, cut where
-    ``pseudoinverse_gram`` cuts; a row with an entry of n = a - a V^T V above
-    1e-6 |a|_inf is outside: value 0 at x = n / (a @ n), no solve.  Then
-    p = 2 gives x = G a / (a G a) with value 1 / (a G a).  Any other p on a
+    Where ``certified_cholesky`` proves B has full column rank, every row
+    lies in the row space, and at p = 2 the factor's R^-1 gives the closed
+    form: the Gram's inverse is R^-1 R^-T, so u = a R^-1 gives value
+    1 / |u|^2 at x = u R^-T / |u|^2.  Otherwise R comes from a Householder QR
+    of B, and its SVD gives an orthonormal basis V of the row space, cut
+    where ``pseudoinverse_gram`` cuts; a row with an entry of n = a - a V^T V
+    above 1e-6 |a|_inf is outside: value 0 at x = n / (a @ n), no solve.
+    Then p = 2 takes G = ``pseudoinverse_gram(R)``, the Gram pseudoinverse,
+    and gives x = G a / (a G a) with value 1 / (a G a).  Any other p on a
     rank-deficient B (V has fewer than d rows) is solved in the coordinates
     y = x V^T of the row space, where B V^T has full column rank and every
     inside row stays inside, so no second rank decision is made; x = y V
@@ -205,7 +207,9 @@ def _minimize(B, A, p):
     converged, iterations = np.ones(K, dtype=bool), np.zeros(K, dtype=np.intp)
     factor = certified_cholesky(B)
     if factor is not None:
-        R, reduced, rest = factor.r, False, np.arange(K)
+        # B's largest entry is in [0.5, 1), so its Gram needs no rescale
+        assert factor.s is B
+        reduced, rest = False, np.arange(K)
     else:
         R = np.linalg.qr(B, mode="r")  # R^T R = B^T B; cheaper to factor than B
         _, sv, vt = np.linalg.svd(R, full_matrices=False)
@@ -216,7 +220,13 @@ def _minimize(B, A, p):
         out, rest = np.flatnonzero(outside), np.flatnonzero(~outside)
         x[out] = null[out] / np.einsum("ij,ij->i", A[out], null[out])[:, None]
     inner = A[rest]
-    if p == 2:
+    if p == 2 and factor is not None:
+        # G = R^-1 R^-T, so a G a = |u|^2 and a G = u R^-T for u = a R^-1;
+        # one stacked product per row, as one GEMM would not be batch-invariant
+        u = np.matmul(inner[:, None, :], factor.r_inv)
+        s = np.einsum("ikj,ikj->i", u, u)
+        x[rest], value[rest] = np.matmul(u, factor.r_inv.T)[:, 0] / s[:, None], 1.0 / s
+    elif p == 2:
         G = pseudoinverse_gram(R)
         s = np.einsum("ij,jk,ik->i", inner, G, inner)
         x[rest], value[rest] = np.einsum("ij,jk->ik", inner, G) / s[:, None], 1.0 / s

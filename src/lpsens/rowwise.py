@@ -7,9 +7,14 @@ measured against a sampled lp embedding of the matrix.  The median over
 independent repetitions is reported per row.
 
 A repetition draws its block partition and all its signs from one stream
-each, combines every block with one batched product (the float signs in
-chunks of ``_SIGN_BUDGET``) and makes one oracle call, so its count of
-array operations does not grow with n / alpha below that budget.
+each and combines every block with one batched product (the float signs in
+chunks of ``_SIGN_BUDGET``), so its count of array operations does not grow
+with n / alpha below that budget.  Consecutive repetitions stack their
+combinations, up to ``_ROW_BUDGET`` rows (a larger repetition alone), and
+one oracle call answers each stack: at the benchmark's sizes that is one
+call per estimate.  Rows never share arithmetic in the oracle, so the
+grouping does not change a bit of the output.  The median over repetitions
+is a pruned odd-even transposition network of elementwise minima and maxima.
 
 The estimate for row i overshoots sigma_p(a_i) by at most roughly
 alpha^(p-1) plus an alpha^p / n share of the total sensitivity, and
@@ -67,6 +72,10 @@ class RowwiseResult:
 # float signs held at a time (2 MB), so memory does not grow with
 # n * signs_per_block; the output does not depend on it
 _SIGN_BUDGET = 1 << 18
+# sign combinations answered by one oracle call, so memory does not grow with
+# the repetitions; a repetition with more rows is answered alone, and the
+# output does not depend on it
+_ROW_BUDGET = 1 << 16
 
 
 def random_blocks(n: int, alpha: int, rng: RandomSource) -> list[np.ndarray]:
@@ -101,32 +110,37 @@ def sensitivities_rowwise(a, cfg: RowwiseConfig, rng: RandomSource) -> RowwiseRe
     # to a sign combination, so the short last block needs no special case
     rows = np.zeros((nb * alpha, d))
     blocks = rows.reshape(nb, alpha, d)
-    # row j of block b's combinations sits at b * signs_per_block + j
-    compressed = np.empty((nb, signs_per_block, d))
     step = max(1, _SIGN_BUDGET // (signs_per_block * alpha))
+    group = max(1, _ROW_BUDGET // (nb * signs_per_block))  # repetitions per oracle call
+    # row j of block b's combinations in the group's k-th repetition sits at
+    # (k * nb + b) * signs_per_block + j
+    compressed = np.empty((min(group, cfg.repetitions), nb, signs_per_block, d))
     per_rep = np.empty((cfg.repetitions, n))
     calls = 0
-    for rep in range(cfg.repetitions):
-        rep_rng = rng.child("rep", rep)
-        order = _block_order(n, rep_rng.child("blocks"))
-        # order is a permutation of range(n), so "clip" never acts; it keeps
-        # take from buffering its output as mode="raise" does
-        np.take(a, order, axis=0, out=rows[:n], mode="clip")
-        draw = rep_rng.child("signs").generator().integers(
-            0, 2, size=(nb, signs_per_block, alpha), dtype=np.bool_
-        )
-        for lo in range(0, nb, step):
-            signs = np.multiply(draw[lo : lo + step], 2.0, dtype=np.float64)
-            signs -= 1.0
-            np.matmul(signs, blocks[lo : lo + step], out=compressed[lo : lo + step])
-        # one oracle call per repetition
-        sens = sensitivities_wrt(compressed.reshape(-1, d), sa, cfg.p)
+    for first in range(0, cfg.repetitions, group):
+        reps = range(first, min(first + group, cfg.repetitions))
+        orders = []
+        for k, rep in enumerate(reps):
+            rep_rng = rng.child("rep", rep)
+            order = _block_order(n, rep_rng.child("blocks"))
+            orders.append(order)
+            # order is a permutation of range(n), so "clip" never acts; it keeps
+            # take from buffering its output as mode="raise" does
+            np.take(a, order, axis=0, out=rows[:n], mode="clip")
+            draw = rep_rng.child("signs").generator().integers(
+                0, 2, size=(nb, signs_per_block, alpha), dtype=np.bool_
+            )
+            for lo in range(0, nb, step):
+                signs = np.multiply(draw[lo : lo + step], 2.0, dtype=np.float64)
+                signs -= 1.0
+                np.matmul(signs, blocks[lo : lo + step], out=compressed[k, lo : lo + step])
+        sens = sensitivities_wrt(compressed[: len(reps)].reshape(-1, d), sa, cfg.p)
         calls += sens.size
-        per_rep[rep, order] = np.repeat(sens.reshape(nb, -1).max(axis=1), alpha)[:n]
+        best = sens.reshape(len(reps), nb, signs_per_block).max(axis=2)
+        for rep, order, top in zip(reps, orders, best):
+            per_rep[rep, order] = np.repeat(top, alpha)[:n]
 
-    # the middle order statistic of an odd count, bit-equal to np.median
-    mid = cfg.repetitions // 2
-    estimates = np.partition(per_rep, mid, axis=0)[mid]
+    estimates = _middle(per_rep)
     weights = WeightVector(values=estimates, kind="sensitivity", p=float(cfg.p))
     return RowwiseResult(
         estimates=weights,
@@ -134,3 +148,31 @@ def sensitivities_rowwise(a, cfg: RowwiseConfig, rng: RandomSource) -> RowwiseRe
         embedded_rows=len(embedding),
         per_repetition=per_rep,
     )
+
+
+def _middle(rows: np.ndarray) -> np.ndarray:
+    """Each column's middle order statistic over an odd number of rows.
+
+    An odd-even transposition network (as many rounds as rows, each comparing
+    neighbouring rows) sorts every column; only the comparisons whose outputs
+    reach the middle row are made, each an elementwise min or max of two
+    whole rows.  Entries are only moved, so the result is bit-equal to
+    np.median, and at a few rows it costs a fraction of np.partition, which
+    selects column by column.
+    """
+    r = len(rows)
+    need, plan = {r // 2}, []
+    for k in reversed(range(r)):  # back from the middle row to what it reads
+        for i in range(k % 2, r - 1, 2):
+            lo, hi = i in need, i + 1 in need
+            if lo or hi:
+                plan.append((i, lo, hi))
+                need |= {i, i + 1}
+    s = list(rows)
+    for i, lo, hi in reversed(plan):
+        a, b = s[i], s[i + 1]
+        if lo:
+            s[i] = np.minimum(a, b)
+        if hi:
+            s[i + 1] = np.maximum(a, b)
+    return np.array(s[r // 2])  # a copy when r = 1, not a view of rows

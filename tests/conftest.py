@@ -45,12 +45,14 @@ def random_tall(rng, n, d, scale_rows=False):
 def factorization_shapes(monkeypatch, call):
     """The factorizations ``call`` decides a rank with, in order:
     ("cholesky", shape) for each ``certified_cholesky`` in ``lpsens.core``
-    that certifies, and ("pivoted", shape) for each column-pivoted
-    ``scipy.linalg.qr``.  Bindings imported into other modules are not
-    spied on."""
+    and ``lpsens.reduce`` (the regression's rank check) that certifies, and
+    ("pivoted", shape) for each column-pivoted ``scipy.linalg.qr``.  The
+    bindings imported into other modules, such as the oracle's factor of its
+    own B, are not spied on."""
     import scipy.linalg
 
     import lpsens.core as core
+    import lpsens.reduce as reduce
 
     qr, certify, seen = scipy.linalg.qr, core.certified_cholesky, []
 
@@ -67,6 +69,7 @@ def factorization_shapes(monkeypatch, call):
 
     monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
     monkeypatch.setattr(core, "certified_cholesky", counting_certify)
+    monkeypatch.setattr(reduce, "certified_cholesky", counting_certify)
     call()
     return seen
 

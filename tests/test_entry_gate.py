@@ -8,7 +8,8 @@ matrix (``core.certified_cholesky``), or the column-pivoted QR where the
 certificate refuses the input.  The two calls that read no q,
 ``lp_embedding`` with given weights and ``leverage_approx``, prove full rank
 on a row sample or a sketch instead and run the gate only when that proof
-falls short.
+falls short; ``regression_via_sensitivity`` reads no q either, and its one
+factorization is the certificate, or the gate's where the certificate refuses.
 
 ``factorization_shapes`` counts both kinds on the input's own n x d shape;
 the matrices are tall enough that no sampled embedding keeps every row, so a
@@ -99,6 +100,23 @@ def test_ill_conditioned_input_takes_one_pivoted_qr(monkeypatch, entry):
     a = _ill_conditioned(np.random.default_rng(8), 2000, 3, 1e8)
     seen = factorization_shapes(monkeypatch, lambda: _ENTRIES[entry](a, L.RandomSource(5)))
     assert [x for x in seen if x[1] == a.shape] == [("pivoted", a.shape)], seen
+
+
+@pytest.mark.parametrize("refused", [False, True], ids=["certified", "refused"])
+def test_regression_reads_no_q_factor(tall, monkeypatch, refused):
+    # the reduction needs full rank but no q: the certificate is its one
+    # factorization of A, and only an input it refuses takes the gate's basis
+    import lpsens.core as core
+
+    a = _ill_conditioned(np.random.default_rng(8), N, D, 1e8) if refused else tall
+    basis, bases = core.orthonormal_basis, []
+    monkeypatch.setattr(core, "orthonormal_basis", lambda x: bases.append(x.shape) or basis(x))
+    seen = factorization_shapes(
+        monkeypatch, lambda: L.regression_via_sensitivity(a, np.ones(N), 1.5)
+    )
+    kind = "pivoted" if refused else "cholesky"
+    assert [x for x in seen if x[1] == a.shape] == [(kind, a.shape)], seen
+    assert bases == ([a.shape] if refused else [])
 
 
 def _wide(rng):

@@ -383,6 +383,34 @@ class TestBatchedIrls:
         np.testing.assert_allclose(value[closed], ref[closed], rtol=1e-10)
 
 
+class TestClosedFormP2:
+    """p = 2 on a certified B reads u = a R^-1 off the Cholesky factor."""
+
+    @pytest.mark.parametrize("k", [0, 900, -900])
+    def test_certified_factor_matches_the_refused_path(self, np_rng, monkeypatch, k):
+        import lpsens.regress as regress
+
+        # B and its rows at 2^k: the oracle rescales both before it factors
+        b = np.ldexp(random_tall(np_rng, 60, 4, scale_rows=True), k)
+        rows = np.ldexp(np_rng.standard_normal((9, 4)), k)
+
+        def no_svd(*args):
+            raise AssertionError("pseudoinverse_gram called on a certified B")
+
+        monkeypatch.setattr(regress, "pseudoinverse_gram", no_svd)
+        vals = sensitivities_wrt(rows, b, 2)
+        sols = [min_lp_on_hyperplane(b, row, 2) for row in rows]
+        monkeypatch.undo()
+        # the refused path: the Gram pseudoinverse from the SVD of a QR's R
+        monkeypatch.setattr(regress, "certified_cholesky", lambda a: None)
+        np.testing.assert_allclose(vals, sensitivities_wrt(rows, b, 2), rtol=1e-12, atol=0)
+        for row, sol in zip(rows, sols):
+            ref = min_lp_on_hyperplane(b, row, 2)
+            assert sol.value == pytest.approx(ref.value, rel=1e-12)
+            assert np.abs(sol.x_opt - ref.x_opt).max() <= 1e-12 * np.abs(ref.x_opt).max()
+            assert row @ sol.x_opt == pytest.approx(1.0, rel=1e-12)
+
+
 class TestBatchedLp:
     """p = 1: stacked Newton IRLS plus vertex crossovers, each row's bits its own."""
 

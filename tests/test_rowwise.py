@@ -100,11 +100,17 @@ class TestEstimator:
 
     def test_median_is_entrywise_over_repetitions(self, np_rng):
         a = random_tall(np_rng, 24, 2)
-        cfg = RowwiseConfig(p=1, alpha=6, signs_per_block=4, repetitions=5)
-        res = sensitivities_rowwise(a, cfg, RandomSource(1))
-        np.testing.assert_allclose(
-            res.estimates.values, np.median(res.per_repetition, axis=0), atol=0
-        )
+        for reps in (1, 3, 5, 7, 9):
+            cfg = RowwiseConfig(p=1, alpha=6, signs_per_block=4, repetitions=reps)
+            res = sensitivities_rowwise(a, cfg, RandomSource(1))
+            assert np.array_equal(res.estimates.values, np.median(res.per_repetition, axis=0))
+            # the network alone, on columns full of ties and on distinct values
+            ties = np_rng.integers(0, 3, size=(reps, 500)).astype(np.float64)
+            ties[:, :3] = [0.0, 1.0, 2.0]  # columns of one value repeated
+            for rows in (ties, np_rng.standard_exponential((reps, 500))):
+                before = rows.copy()
+                assert np.array_equal(rowwise._middle(rows), np.median(rows, axis=0))
+                assert np.array_equal(rows, before)
 
 
 def per_block_rowwise(a, cfg, rng):
@@ -154,3 +160,54 @@ class TestBatchedBlocks:
         one = sensitivities_rowwise(a, cfg, RandomSource(5))
         np.testing.assert_array_equal(one.per_repetition, ref_rep)
         np.testing.assert_array_equal(one.estimates.values, ref_est)
+
+
+def counting_oracle(monkeypatch):
+    """Spy on the rowwise estimator's oracle: the row count of each call."""
+    rows = []
+
+    def spy(m, b, p):
+        rows.append(m.shape[0])
+        return sensitivities_wrt(m, b, p)
+
+    monkeypatch.setattr(rowwise, "sensitivities_wrt", spy)
+    return rows
+
+
+class TestOneOracleCall:
+    @pytest.mark.parametrize(
+        "p, n, d, alpha",
+        # the benchmark's shapes: 288, 312 and 3000 rows at 8 signs, 3 repetitions
+        [(1, 112, 4, 10), (1.5, 128, 4, 10), (2, 25_000, 16, 200)],
+    )
+    def test_every_repetition_in_one_call(self, np_rng, monkeypatch, p, n, d, alpha):
+        a = random_tall(np_rng, n, d, scale_rows=True)
+        rows = counting_oracle(monkeypatch)
+        cfg = RowwiseConfig(p=p, alpha=alpha, signs_per_block=8, repetitions=3)
+        res = sensitivities_rowwise(a, cfg, RandomSource(3))
+        assert rows == [res.oracle_calls] == [3 * 8 * -(-n // alpha)]
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2])
+    def test_grouping_changes_no_bit(self, np_rng, monkeypatch, p):
+        a = random_tall(np_rng, 47, 3, scale_rows=True)
+        cfg = RowwiseConfig(p=p, alpha=5, signs_per_block=4, repetitions=5)
+        full = sensitivities_rowwise(a, cfg, RandomSource(9))
+        per_rep = 10 * 4  # blocks x signs
+        # a budget of one repetition, of two, and one smaller than a repetition
+        for budget, calls in ((per_rep, 5), (2 * per_rep + 1, 3), (1, 5)):
+            monkeypatch.setattr(rowwise, "_ROW_BUDGET", budget)
+            rows = counting_oracle(monkeypatch)
+            res = sensitivities_rowwise(a, cfg, RandomSource(9))
+            assert len(rows) == calls and sum(rows) == res.oracle_calls == full.oracle_calls
+            np.testing.assert_array_equal(res.per_repetition, full.per_repetition)
+            np.testing.assert_array_equal(res.estimates.values, full.estimates.values)
+
+    def test_no_call_exceeds_the_row_budget(self, np_rng, monkeypatch):
+        # at the default 100 signs and 9 repetitions a repetition of 300 blocks
+        # holds 30000 rows, so the 270000 rows go to the oracle two repetitions
+        # at a time
+        a = random_tall(np_rng, 3000, 3, scale_rows=True)
+        rows = counting_oracle(monkeypatch)
+        res = sensitivities_rowwise(a, RowwiseConfig(p=2, alpha=10), RandomSource(4))
+        assert rows == [60_000] * 4 + [30_000] and max(rows) <= rowwise._ROW_BUDGET
+        assert sum(rows) == res.oracle_calls

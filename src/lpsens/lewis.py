@@ -7,9 +7,12 @@ q that decided the rank of A (CholeskyQR2 on a certified full rank, else the
 pivoted QR; its own rank gate's, or the one an estimator's ``GatedMatrix``
 carries in), and each iteration costs one d x d Cholesky: with
 s = w^(1/2 - 1/p), G = (sQ)^T (sQ) = L L^T and tau_i = |L^-1 s_i q_i|^2.  Q has orthonormal columns, so cond(G) is
-bounded by the spread of the weights, not by cond(A)^2.  At p = 2 the
-scaling W^0 is the identity and the weights are the squared row norms of Q,
-with no iteration at all.
+bounded by the spread of the weights, not by cond(A)^2.  The n x d products
+sQ and (sQ) L^-T, and the n-vectors of scores and residuals, are written into
+buffers each call allocates once: at tall n, fresh arrays on every iteration
+cost first-touched pages and cold cache lines, a large share of the call.
+At p = 2 the scaling W^0 is the identity and the weights are the squared row
+norms of Q, with no iteration at all.
 
 The base map is the damped log-space step x -> (1 - b) x + b log tau(e^x),
 x = log w.  It contracts only for p < 4 (Cohen and Peng, 2015), and slowly
@@ -96,18 +99,24 @@ def lewis_weights(a, cfg: LewisConfig) -> WeightVector:
     dg = np.empty((n, _DEPTH))
     kept = 0
     f_prev = g_prev = None
+    # every iteration writes into these; y keeps q's memory order, as q * s
+    # would (the pivoted QR's q is Fortran-ordered), so BLAS reads it the same
+    y, z = np.empty_like(q), np.empty((n, d))
+    tau, scratch = np.empty(n), np.empty(n)
     w = np.full(n, d / n)
     residual = prev_residual = np.inf
     for _ in range(_MAX_ITERS):
-        w = np.maximum(w, _FLOOR)
-        y = q * (w**expo)[:, None]
+        np.maximum(w, _FLOOR, out=w)
+        np.multiply(q, np.power(w, expo, out=scratch)[:, None], out=y)
         chol = scipy.linalg.cholesky(y.T @ y, lower=True, check_finite=False)
         # one n x d product with the d x d inverse is cheaper than n triangular solves
-        z = y @ scipy.linalg.solve_triangular(chol, eye, lower=True, check_finite=False).T
+        linv = scipy.linalg.solve_triangular(chol, eye, lower=True, check_finite=False)
+        np.matmul(y, linv.T, out=z)
         # a score under the floor counts as the floor, as it does in the update;
         # otherwise rows whose weight sits clamped there pin the residual at 1
-        tau = np.maximum(np.einsum("ij,ij->i", z, z), _FLOOR)
-        residual = float(np.max(np.abs(w - tau) / w))
+        np.maximum(np.einsum("ij,ij->i", z, z, out=tau), _FLOOR, out=tau)
+        np.abs(np.subtract(w, tau, out=scratch), out=scratch)
+        residual = float(np.max(np.divide(scratch, w, out=scratch)))
         if residual <= _TOL:
             weights[live] = w
             return WeightVector(values=weights, kind="lewis", p=float(cfg.p))

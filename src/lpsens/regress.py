@@ -75,6 +75,10 @@ def _eliminate_hyperplanes(B, A):
     are the coordinates rest[i] and x_k = (1 - a_rest @ z) / a_k for k = k[i].
     M[i] is (d - 1, m), so per-residual weights broadcast along its rows.
     Every stack entry is computed from its own row alone.
+
+    M is filled one (K, m) slice per eliminated coordinate: one expression for
+    the whole stack would put two temporaries of M's size next to it, and M
+    is the largest array an IRLS chunk holds.
     """
     K, d = A.shape
     k = np.argmax(np.abs(A), axis=1)  # ties resolve to the lowest index
@@ -83,7 +87,8 @@ def _eliminate_hyperplanes(B, A):
     c = np.ascontiguousarray(B[:, k].T) / A[np.arange(K), k][:, None]
     a_rest = np.take_along_axis(A, rest, axis=1)
     M = np.empty((K, d - 1, B.shape[0]))
-    np.subtract(B.T[rest], a_rest[:, :, None] * c[:, None, :], out=M)
+    for col in range(d - 1):
+        np.subtract(B.T[rest[:, col]], a_rest[:, col, None] * c, out=M[:, col])
     return M, c, k, rest
 
 

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,66 @@ def lewis_reference(a, p, iters=100000):
             return w_new
         w = w_new
     return w
+
+
+def allocating_lewis_weights(a, p, branches):
+    """Reference: the fixed-point loop with a fresh array for every product.
+
+    The same operations in the same order as ``lewis_weights``, which writes
+    them into per-call buffers instead, so the two agree bit for bit.  Adds
+    to ``branches`` the names of the Anderson branches the call took.
+    """
+    import scipy.linalg
+
+    from lpsens.lewis import _DEPTH, _FLOOR, _MAX_ITERS, _TOL
+
+    a, q = require_tall_full_rank(a)
+    live = np.any(a != 0.0, axis=1)
+    if not live.all():
+        q = q[live]
+    weights = np.zeros(a.shape[0])
+    n, d = q.shape
+    expo, beta, eye = 0.5 - 1.0 / p, LewisConfig(p=p).beta, np.eye(d)
+    df, dg = np.empty((n, _DEPTH)), np.empty((n, _DEPTH))
+    kept = 0
+    f_prev = g_prev = None
+    w = np.full(n, d / n)
+    prev_residual = np.inf
+    for _ in range(_MAX_ITERS):
+        w = np.maximum(w, _FLOOR)
+        y = q * (w**expo)[:, None]
+        chol = scipy.linalg.cholesky(y.T @ y, lower=True, check_finite=False)
+        z = y @ scipy.linalg.solve_triangular(chol, eye, lower=True, check_finite=False).T
+        tau = np.maximum(np.einsum("ij,ij->i", z, z), _FLOOR)
+        residual = float(np.max(np.abs(w - tau) / w))
+        if residual <= _TOL:
+            weights[live] = w
+            return weights
+        x = np.log(w)
+        g = (1.0 - beta) * x + beta * np.log(tau)
+        f = g - x
+        if residual > prev_residual:
+            branches.add("restart")
+            kept = 0
+        elif f_prev is not None:
+            df[:, kept % _DEPTH] = f - f_prev
+            dg[:, kept % _DEPTH] = g - g_prev
+            kept += 1
+        f_prev, g_prev, prev_residual = f, g, residual
+        step = g
+        if kept:
+            h = min(kept, _DEPTH)
+            try:
+                gamma = np.linalg.solve(df[:, :h].T @ df[:, :h], df[:, :h].T @ f)
+            except np.linalg.LinAlgError:
+                gamma = np.full(h, np.nan)
+            if np.all(np.isfinite(gamma)):
+                step = np.clip(g - dg[:, :h] @ gamma, np.log(_FLOOR), 0.0)
+            else:
+                branches.add("singular")
+                kept = 0
+        w = np.exp(step)
+    raise NonConvergenceError("reference did not converge", residual=residual)
 
 
 class TestFixedPoint:
@@ -202,6 +265,76 @@ class TestFixedPoint:
         for p in (1.0, 2.5, 3.0):
             w = lewis_weights(a, LewisConfig(p=p)).values
             assert np.all(w >= 0) and w.sum() == pytest.approx(14.0, abs=1e-3)
+
+
+class TestPerCallBuffers:
+    """The iteration writes its n x d products into buffers each call
+    allocates once; the allocating loop gives the same bits."""
+
+    PS = (1.0, 1.5, 3.0, 5.0, 16.0)
+
+    @staticmethod
+    def make_input(case):
+        rng = np.random.default_rng(7)
+        if case == "refused":
+            # cond ~ 1e7: past the Gram's Cholesky certificate, so q is the
+            # pivoted QR's, Fortran-ordered
+            u = np.linalg.qr(rng.standard_normal((300, 5)))[0]
+            v = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+            a = (u * np.logspace(0, -7, 5)) @ v.T
+            assert require_tall_full_rank(a).q.flags.f_contiguous
+            return a
+        a = random_tall(rng, 300, 5, scale_rows=True)
+        if case == "zero_rows":
+            a[[3, 100, 299]] = 0.0
+        return a
+
+    @pytest.mark.parametrize("case", ["certified", "refused", "zero_rows"])
+    def test_same_bits_as_the_allocating_loop(self, case):
+        a = self.make_input(case)
+        branches = set()
+        for p in self.PS:
+            ref = allocating_lewis_weights(a, p, branches)
+            np.testing.assert_array_equal(lewis_weights(a, LewisConfig(p=p)).values, ref)
+        assert "restart" in branches  # p = 5 and 16 lose ground
+
+    def test_same_bits_when_every_other_mixing_system_is_singular(self, monkeypatch):
+        # the monkeypatch of test_singular_mixing_falls_back_to_the_plain_step,
+        # on alternate calls: the restart and the singular branches both run
+        solve = np.linalg.solve
+        a = self.make_input("certified")
+
+        def run(call):
+            calls = itertools.count(1)
+
+            def flaky(*args, **kwargs):
+                if next(calls) % 2 == 0:
+                    raise np.linalg.LinAlgError("singular matrix")
+                return solve(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, "solve", flaky)
+            return call()
+
+        branches = set()
+        for p in self.PS:
+            ref = run(lambda: allocating_lewis_weights(a, p, branches))
+            got = run(lambda: lewis_weights(a, LewisConfig(p=p)).values)
+            np.testing.assert_array_equal(got, ref)
+        assert branches == {"restart", "singular"}
+
+    def test_working_memory_of_a_gated_call(self):
+        # a fresh sQ and (sQ) L^-T every iteration peak near 3.9 n d 8 bytes,
+        # the per-call buffers near 3.1
+        g = np.random.default_rng(20)
+        a = g.standard_normal((20000, 16)) * np.exp(g.uniform(-2, 2, 20000))[:, None]
+        gated = require_tall_full_rank(a)
+        tracemalloc.start()
+        try:
+            lewis_weights(gated, LewisConfig(p=1.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * a.nbytes, peak / a.nbytes
 
 
 class TestConfig:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from lpsens.core import NonConvergenceError
 from lpsens.reduce import default_anchor_scale
 from lpsens.regress import (
     _bracket,
+    _eliminate_hyperplanes,
     _min_lp_irls,
     min_lp_on_hyperplane,
     sensitivities_exact,
@@ -184,6 +186,28 @@ class TestSensitivities:
         doubled = np.vstack([a, a[0]])
         new = sensitivities_exact(doubled, 2).values[0]
         assert new == pytest.approx(base / (1.0 + base), rel=1e-9)
+
+
+class TestEliminateHyperplanes:
+    @pytest.mark.parametrize("K, d", [(1, 2), (1, 5), (7, 2), (7, 5)])
+    def test_same_bits_as_one_expression(self, np_rng, K, d):
+        b = random_tall(np_rng, 30, d, scale_rows=True)
+        rows = np_rng.standard_normal((K, d))
+        M, c, k, rest = _eliminate_hyperplanes(b, rows)
+        a_rest = np.take_along_axis(rows, rest, axis=1)
+        np.testing.assert_array_equal(M, b.T[rest] - a_rest[:, :, None] * c[:, None, :])
+
+    def test_working_memory_near_the_stack(self):
+        # the one-expression form puts two temporaries of M's size next to it
+        g = np.random.default_rng(21)
+        b, rows = g.standard_normal((3000, 16)), g.standard_normal((40, 16))
+        tracemalloc.start()
+        try:
+            M = _eliminate_hyperplanes(b, rows)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * M.nbytes, peak / M.nbytes
 
 
 class TestBatchedIrls:

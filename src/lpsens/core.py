@@ -297,7 +297,8 @@ def pseudoinverse_gram(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse of the Gram matrix A^T A.
 
     Built from the SVD of A itself so the small singular values are cut at
-    the same relative threshold the rank decision uses.
+    the same relative threshold the rank decision uses.  No library code
+    calls it; perfbench/tracer.py wraps it by name in ``regress`` and ``total``.
     """
     a = as_matrix(a)
     u, s, vt = np.linalg.svd(a, full_matrices=False)

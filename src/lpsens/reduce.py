@@ -23,6 +23,14 @@ def default_anchor_scale(a) -> float:
     return 1e-2 * float(np.linalg.norm(a)) / math.sqrt(n * d)
 
 
+def _anchor_scale(a, lam) -> float:
+    """lam as a float, ``default_anchor_scale(a)`` when None; raises unless positive."""
+    lam = default_anchor_scale(a) if lam is None else float(lam)
+    if not lam > 0:
+        raise ValueError(f"lambda must be positive, got {lam}")
+    return lam
+
+
 def regression_via_sensitivity(a, b, p, lam=None) -> float:
     """min_y ||A y - b||_p^p recovered from one sensitivity of [A -b; 0 -lam].
 
@@ -39,11 +47,7 @@ def regression_via_sensitivity(a, b, p, lam=None) -> float:
     if b.size != n:
         raise ValueError(f"b has {b.size} entries, expected {n}")
     check_exponent(p)
-    if lam is None:
-        lam = default_anchor_scale(a)
-    lam = float(lam)
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    lam = _anchor_scale(a, lam)
 
     augmented = np.zeros((n + 1, d + 1))
     augmented[:n, :d] = a
@@ -69,11 +73,7 @@ def leave_one_out_multiregression(a, p, lam=None) -> np.ndarray:
     a = as_matrix(a)
     n, d = a.shape
     check_exponent(p)
-    if lam is None:
-        lam = default_anchor_scale(a)
-    lam = float(lam)
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    lam = _anchor_scale(a, lam)
 
     augmented = np.vstack([a, lam * np.eye(d)])
     sigmas = sensitivities_wrt(augmented[n:], augmented, p)

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
+from .core import (  # noqa: F401 - perfbench/tracer.py wraps regress.pseudoinverse_gram
     RANK_TOL,
     NonConvergenceError,
     WeightVector,
@@ -182,23 +182,23 @@ _CHUNK_ELEMENTS = 1 << 21
 def _minimize(B, A, p):
     """min ||B x||_p^p subject to a @ x = 1 for every row a of A (none zero).
 
-    Where ``certified_cholesky`` proves B has full column rank, every row
-    lies in the row space, and at p = 2 the factor's R^-1 gives the closed
-    form: the Gram's inverse is R^-1 R^-T, so u = a R^-1 gives value
-    1 / |u|^2 at x = u R^-T / |u|^2.  Otherwise R comes from a Householder QR
-    of B, and its SVD gives an orthonormal basis V of the row space, cut
-    where ``pseudoinverse_gram`` cuts; a row with an entry of n = a - a V^T V
+    Each factorization of B yields one d x r matrix W with W W^T the Gram's
+    pseudoinverse.  Where ``certified_cholesky`` proves B has full column
+    rank, W = R^-1 and every row lies in the row space.  Otherwise the SVD
+    of the R of a Householder QR of B gives an orthonormal basis V of the
+    row space, cut at RANK_TOL times the largest singular value, and
+    W = V^T / sigma on the kept ones; a row with an entry of n = a - a V^T V
     above 1e-6 |a|_inf is outside: value 0 at x = n / (a @ n), no solve.
-    Then p = 2 takes G = ``pseudoinverse_gram(R)``, the Gram pseudoinverse,
-    and gives x = G a / (a G a) with value 1 / (a G a).  Any other p on a
-    rank-deficient B (V has fewer than d rows) is solved in the coordinates
-    y = x V^T of the row space, where B V^T has full column rank and every
-    inside row stays inside, so no second rank decision is made; x = y V
-    maps back.  In the coordinates solved in (x itself on a full-rank B),
-    one coordinate forces y = 1 / a and any more run ``_min_lp_irls``, each
-    row on its own numbers.  Returns per-row arrays (x_opt, value,
-    converged, iterations), iterations being Newton steps (HiGHS iterations
-    on a p = 1 row HiGHS solves) and 0 without a solve.
+    At p = 2 every inside row has the closed form u = a W: value 1 / |u|^2
+    at x = u W^T / |u|^2.  Any other p on a rank-deficient B (V has fewer
+    than d rows; None at full rank) is solved in the coordinates y = x V^T
+    of the row space, where B V^T has full column rank and every inside row
+    stays inside, so no second rank decision is made; x = y V maps back.
+    In the coordinates solved in, one coordinate forces y = 1 / a and any
+    more run ``_min_lp_irls``, each row on its own numbers.  Returns per-row
+    arrays (x_opt, value, converged, iterations), iterations being Newton
+    steps (HiGHS iterations on a p = 1 row HiGHS solves) and 0 without a
+    solve.
 
     B and A are first scaled by 2^-e, e the binary exponent of B's largest
     entry, and x by the same factor at the end: that is exact in floating
@@ -214,29 +214,26 @@ def _minimize(B, A, p):
     if factor is not None:
         # B's largest entry is in [0.5, 1), so its Gram needs no rescale
         assert factor.s is B
-        reduced, rest = False, np.arange(K)
+        W, V, rest = factor.r_inv, None, np.arange(K)
     else:
         R = np.linalg.qr(B, mode="r")  # R^T R = B^T B; cheaper to factor than B
         _, sv, vt = np.linalg.svd(R, full_matrices=False)
         V = vt[sv > RANK_TOL * sv[0]]
-        reduced = V.shape[0] < d
+        W = V.T / sv[: V.shape[0]]  # W W^T = V^T diag(sigma^-2) V
         null = A - np.einsum("ik,kj->ij", np.einsum("ij,kj->ik", A, V), V)
         outside = np.abs(null).max(axis=1) > 1e-6 * np.abs(A).max(axis=1)
         out, rest = np.flatnonzero(outside), np.flatnonzero(~outside)
         x[out] = null[out] / np.einsum("ij,ij->i", A[out], null[out])[:, None]
+        V = V if V.shape[0] < d else None  # full rank: solve in x itself
     inner = A[rest]
-    if p == 2 and factor is not None:
-        # G = R^-1 R^-T, so a G a = |u|^2 and a G = u R^-T for u = a R^-1;
+    if p == 2:
+        # G = W W^T, so a G a = |u|^2 and a G = u W^T for u = a W;
         # one stacked product per row, as one GEMM would not be batch-invariant
-        u = np.matmul(inner[:, None, :], factor.r_inv)
+        u = np.matmul(inner[:, None, :], W)
         s = np.einsum("ikj,ikj->i", u, u)
-        x[rest], value[rest] = np.matmul(u, factor.r_inv.T)[:, 0] / s[:, None], 1.0 / s
-    elif p == 2:
-        G = pseudoinverse_gram(R)
-        s = np.einsum("ij,jk,ik->i", inner, G, inner)
-        x[rest], value[rest] = np.einsum("ij,jk->ik", inner, G) / s[:, None], 1.0 / s
+        x[rest], value[rest] = np.matmul(u, W.T)[:, 0] / s[:, None], 1.0 / s
     elif rest.size:
-        if reduced:
+        if V is not None:
             # a rank-deficient B makes vertices and Newton systems singular;
             # B V^T has full column rank and no row of A V^T leaves its row space
             B, inner = B @ V.T, np.einsum("ij,kj->ik", inner, V)
@@ -245,7 +242,7 @@ def _minimize(B, A, p):
             value[rest] = np.sum(np.abs(B[:, 0] * y) ** p, axis=1)
         else:
             y, value[rest], converged[rest], iterations[rest] = _min_lp_irls(B, inner, p)
-        x[rest] = np.einsum("ik,kj->ij", y, V) if reduced else y
+        x[rest] = y if V is None else np.einsum("ik,kj->ij", y, V)
     return np.ldexp(x, -e), value, converged, iterations
 
 

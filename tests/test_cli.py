@@ -175,6 +175,20 @@ class TestSubcommands:
         assert float(row1[1]) == pytest.approx(3.0)        # d^max(1, 0.5)
         assert float(row3[1]) == pytest.approx(3.0 ** 1.5)  # d^1.5
 
+    @pytest.mark.parametrize("argv, header, keys", [
+        (["exact", "--p", "1"], "row,estimate", [str(i) for i in range(60)]),
+        (["reduce", "--p", "2", "--mode", "leave-one-out"], "index,value", ["0", "1", "2"]),
+        (["total", "--p", "1.5"], "field,value", ["total"]),
+        (["max", "--p", "3", "--exact"], "field,value", ["max", "oracle_max"]),
+    ], ids=["exact", "reduce", "total", "max"])
+    def test_csv_out_sections(self, rand_csv, tmp_path, capsys, argv, header, keys):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--input", rand_csv, "--seed", "0", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == header
+        assert [l.split(",")[0] for l in lines[1:]] == keys
+        assert all(float(l.split(",")[1]) > 0.0 for l in lines[1:])
+
 
 _FIELDS = ("per_row", "total", "max_value", "oracle_per_row", "oracle_total",
            "oracle_max", "metrics", "alpha_series", "bench_table", "values")
@@ -310,6 +324,27 @@ class TestExitCodes:
         assert "unrecognized arguments: --exact" in capsys.readouterr().err
         assert main(["reduce", "--input", rand_csv, "--constants", "c_m=1"]) == 1
         assert "unrecognized arguments: --constants" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["all", "--alpha-list", "3,6"], "--alpha-list needs --exact"),
+        (["all", "--constants", "signs_per_block"], "expected key=value"),
+        (["all", "--constants", "signs_per_block=four"], "not numeric"),
+        (["all", "--exact", "--alpha-list", "3,six"], "--alpha-list: expected comma-separated"),
+        (["bench", "--p-list", "1,x"], "--p-list: expected comma-separated"),
+        (["bench", "--p-list", ","], "--p-list is empty"),
+    ], ids=["alpha-list-without-exact", "constant-without-value", "constant-not-numeric",
+            "bad-alpha-list", "bad-p-list", "empty-p-list"])
+    def test_bad_option_values_rejected(self, rand_csv, capsys, argv, message):
+        assert main(argv + ["--input", rand_csv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_regression_mode_needs_two_columns(self, tmp_path, capsys):
+        path = write_matrix(tmp_path / "col.csv", [[1.0], [2.0], [3.0]])
+        assert main(["reduce", "--input", path, "--mode", "regression"]) == 1
+        assert "needs at least 2 columns" in capsys.readouterr().err
 
     def test_rank_deficient_input_rejected(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "flat.csv", [[1.0, 2.0]] * 5)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from lpsens.core import (
     require_tall_full_rank,
 )
 from lpsens.leverage import leverage_exact
+from lpsens.regress import sensitivities_wrt
 
 
 class TestLpNorm:
@@ -74,6 +77,8 @@ class TestRank:
         assert matrix_rank(a) == 5
         a[:, 4] = a[:, 0] + 2 * a[:, 1]
         assert matrix_rank(a) == 4
+        # no Gram to factor and no pivot above zero
+        assert matrix_rank(np.zeros((30, 5))) == matrix_rank(np.zeros((3, 5))) == 0
 
     def test_pivoted_qr_shapes_and_reconstruction(self, np_rng):
         a = np_rng.standard_normal((20, 4))
@@ -193,6 +198,26 @@ class TestCholeskyCertificate:
                 # where the Householder QR itself holds 1e-12 (it errs by up to
                 # 16 u kappa on these row-scaled matrices), the two agree to it
                 np.testing.assert_allclose(fast, pivoted, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("shape", _SHAPES, ids=["200x4", "2000x16"])
+    def test_refused_full_rank_p2_oracle_row_by_row(self, shape):
+        # past the certificate but below RANK_TOL, the oracle's p = 2 closed
+        # form on itself gives the leverage scores, from W = V^T / sigma
+        if np.finfo(np.longdouble).eps > 1e-18:
+            pytest.skip("no extended precision for the reference")
+        eps = np.finfo(np.float64).eps
+        seen = 0
+        for k, cond in enumerate(_CONDS):
+            a = _conditioned(*shape, cond, seed=k)
+            if cond > 1e9 or certified_cholesky(a) is not None or pivoted_qr(a).rank < shape[1]:
+                continue
+            seen += 1
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                vals = sensitivities_wrt(a, a, 2)
+            # measured: <= 1.3 u cond
+            np.testing.assert_allclose(vals, _extended_leverage(a), rtol=4 * eps * cond, atol=0)
+        assert seen >= 7
 
     @pytest.mark.parametrize(
         "case", ["duplicated_column", "zero_column", "zero_rows", "wide", "square", "one_column"]

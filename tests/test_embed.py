@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_tall
 from lpsens.core import RandomSource
@@ -124,6 +125,19 @@ class TestLinfEmbedding:
         best = max(abs(np.linalg.det(a[list(c)])) for c in combinations(range(8), 2))
         # a 2-approximate spanner reaches at least best / 2^d
         assert got >= best / 4 - 1e-12
+
+    def test_swaps_until_every_coefficient_is_at_most_two(self):
+        # column-scaled Gaussian rows whose pivoted-QR start is not yet a
+        # 2-approximate spanner: a row has a coefficient of 2.35 on it
+        g = np.random.default_rng(1350)
+        a = g.standard_normal((8, 5)) * np.exp(g.uniform(-3, 3, 5))
+        perm = scipy.linalg.qr(a.T, mode="economic", pivoting=True)[2]
+        start = np.sort(perm[:5])
+        assert np.abs(np.linalg.solve(a[start].T, a.T)).max() > 2.2
+        emb = linf_embedding(a)
+        rows = np.array(emb.source_rows)
+        assert not np.array_equal(rows, start)
+        assert np.abs(np.linalg.solve(a[rows].T, a.T)).max() <= 2.0 + 1e-9
 
     def test_duplicate_rows_fine(self, np_rng):
         base = random_tall(np_rng, 6, 2)

@@ -408,7 +408,9 @@ class TestBatchedIrls:
 
 
 class TestClosedFormP2:
-    """p = 2 on a certified B reads u = a R^-1 off the Cholesky factor."""
+    """p = 2 reads u = a W with W W^T the Gram pseudoinverse: W = R^-1 off the
+    Cholesky factor on a certified B, with no SVD, and W = V^T / sigma from
+    the SVD of a QR's R on a refused one."""
 
     @pytest.mark.parametrize("k", [0, 900, -900])
     def test_certified_factor_matches_the_refused_path(self, np_rng, monkeypatch, k):
@@ -418,14 +420,14 @@ class TestClosedFormP2:
         b = np.ldexp(random_tall(np_rng, 60, 4, scale_rows=True), k)
         rows = np.ldexp(np_rng.standard_normal((9, 4)), k)
 
-        def no_svd(*args):
-            raise AssertionError("pseudoinverse_gram called on a certified B")
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD taken on a certified B")
 
-        monkeypatch.setattr(regress, "pseudoinverse_gram", no_svd)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
         vals = sensitivities_wrt(rows, b, 2)
         sols = [min_lp_on_hyperplane(b, row, 2) for row in rows]
         monkeypatch.undo()
-        # the refused path: the Gram pseudoinverse from the SVD of a QR's R
+        # the refused path: W from the SVD of a QR's R
         monkeypatch.setattr(regress, "certified_cholesky", lambda a: None)
         np.testing.assert_allclose(vals, sensitivities_wrt(rows, b, 2), rtol=1e-12, atol=0)
         for row, sol in zip(rows, sols):

@@ -212,10 +212,7 @@ def certified_cholesky(a) -> CholeskyFactor | None:
     with np.errstate(over="ignore"):  # an infinite Gram is formed again, rescaled
         g = s.T @ s
     if not _GRAM_RANGE[0] <= g.diagonal().max() <= _GRAM_RANGE[1]:
-        top = max(a.max(), -a.min())
-        if top == 0.0:
-            return None
-        s = np.ldexp(a, -np.frexp(top)[1])
+        s = np.ldexp(a, -top_exponent(a))  # a zero A stays zero, and dpotrf refuses it
         g = s.T @ s
     r, info = scipy.linalg.lapack.dpotrf(g, lower=0, clean=1, overwrite_a=1)
     if info != 0:
@@ -269,6 +266,28 @@ class GatedMatrix(NamedTuple):
 
     a: np.ndarray
     q: np.ndarray
+
+
+class FactoredMatrix(NamedTuple):
+    """A matrix B as the oracle solves against it, factored once.
+
+    Internal (not exported from the package).  ``s`` is 2^-e B, e the binary
+    exponent of B's largest entry, so its entries are of order one; the
+    rescale is exact, and with e = 0 ``s`` is B itself, not a copy.
+    ``factor`` is ``certified_cholesky(s)``, None where it refuses.
+    ``sensitivities_wrt`` takes this value in place of B, so a caller that
+    builds it makes the oracle's only pass of scaling and factoring B.
+    """
+
+    e: int
+    s: np.ndarray
+    factor: CholeskyFactor | None
+
+
+def top_exponent(*arrays) -> int:
+    """The binary exponent of the largest |entry| of the arrays (or numbers),
+    without forming |x|."""
+    return int(np.frexp(max(max(np.max(x), -np.min(x)) for x in arrays))[1])
 
 
 def require_tall_full_rank(a) -> GatedMatrix:

@@ -4,6 +4,9 @@ Appending the target as an extra column (with a small anchor row) turns the
 optimal regression cost into an exact function of one row's sensitivity;
 appending a scaled identity block turns all d leave-one-out column
 regressions into d sensitivities of a single augmented matrix.
+
+The regression's augmented matrix is scaled and factored once, and that one
+certificate serves both the oracle and A's rank check.
 """
 
 from __future__ import annotations
@@ -12,7 +15,15 @@ import math
 
 import numpy as np
 
-from .core import as_matrix, as_vector, certified_cholesky, check_exponent, require_tall_full_rank
+from .core import (
+    FactoredMatrix,
+    as_matrix,
+    as_vector,
+    certified_cholesky,
+    check_exponent,
+    require_tall_full_rank,
+    top_exponent,
+)
 from .regress import sensitivities_wrt
 
 
@@ -35,28 +46,40 @@ def regression_via_sensitivity(a, b, p, lam=None) -> float:
     """min_y ||A y - b||_p^p recovered from one sensitivity of [A -b; 0 -lam].
 
     The value is exact (up to the sensitivity solver's tolerance) for every
-    lam > 0; lam only affects conditioning.  A needs full column rank but no
-    q factor, so the Gram's certified Cholesky factor proves it, and only an
-    A the certificate refuses takes the rank gate, which raises or not.
+    lam > 0; lam only affects conditioning.  [A -b; 0 -lam] is built at the
+    power of two the oracle solves at and factored once.  A certified
+    augmented matrix has full column rank, so A does too; A needs no q
+    factor, so only an augmented matrix the certificate refuses sends A to
+    the rank gate.  A b in the range of A, at a lam the rank cut cannot tell
+    from 0, puts the anchor row outside the row space (sensitivity inf): the
+    cost is then 0.0, and it is never negative.
     """
     a = as_matrix(a)
-    if certified_cholesky(a) is None:
-        require_tall_full_rank(a)
     b = as_vector(b)
     n, d = a.shape
     if b.size != n:
         raise ValueError(f"b has {b.size} entries, expected {n}")
     check_exponent(p)
-    lam = _anchor_scale(a, lam)
+    try:
+        lam = _anchor_scale(a, lam)
+    except ValueError:
+        require_tall_full_rank(a)  # A's rank is the first error, as for a zero A
+        raise
 
-    augmented = np.zeros((n + 1, d + 1))
-    augmented[:n, :d] = a
-    augmented[:n, d] = -b
-    augmented[n, d] = -lam
-    sigma = float(sensitivities_wrt(augmented[n : n + 1], augmented, p)[0])
+    e = top_exponent(a, b, lam)
+    scaled = np.zeros((n + 1, d + 1))
+    np.ldexp(a, -e, out=scaled[:n, :d])
+    np.ldexp(-b, -e, out=scaled[:n, d])
+    scaled[n, d] = np.ldexp(-lam, -e)
+    augmented = FactoredMatrix(e, scaled, certified_cholesky(scaled))
+    if augmented.factor is None:
+        require_tall_full_rank(a)
+    anchor = np.zeros((1, d + 1))
+    anchor[0, d] = -lam
+    sigma = float(sensitivities_wrt(anchor, augmented, p)[0])
     if not sigma > 0:
         raise ValueError("anchor-row sensitivity vanished; reduction undefined")
-    return lam**p / sigma - lam**p
+    return max(lam**p / sigma - lam**p, 0.0)
 
 
 def leave_one_out_multiregression(a, p, lam=None) -> np.ndarray:

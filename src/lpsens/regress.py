@@ -48,6 +48,7 @@ import numpy as np
 
 from .core import (  # noqa: F401 - perfbench/tracer.py wraps regress.pseudoinverse_gram
     RANK_TOL,
+    FactoredMatrix,
     NonConvergenceError,
     WeightVector,
     as_matrix,
@@ -56,6 +57,7 @@ from .core import (  # noqa: F401 - perfbench/tracer.py wraps regress.pseudoinve
     check_exponent,
     pseudoinverse_gram,
     require_tall_full_rank,
+    top_exponent,
 )
 from .leverage import leverage_exact
 
@@ -68,13 +70,15 @@ class RegressionSolution:
     iterations: int
 
 
-def _eliminate_hyperplanes(B, A):
+def _eliminate_hyperplanes(Bt, A):
     """Substitute each row's largest-|a_j| coordinate out of  a @ x = 1.
 
-    For row i of A returns M[i], c[i] with  B x = z @ M[i] + c[i],  where z
-    are the coordinates rest[i] and x_k = (1 - a_rest @ z) / a_k for k = k[i].
-    M[i] is (d - 1, m), so per-residual weights broadcast along its rows.
-    Every stack entry is computed from its own row alone.
+    Bt is B^T, C-contiguous, so each coordinate's column of B is one
+    contiguous row of it.  For row i of A returns M[i], c[i] with  B x =
+    z @ M[i] + c[i],  where z are the coordinates rest[i] and x_k = (1 -
+    a_rest @ z) / a_k for k = k[i].  M[i] is (d - 1, m), so per-residual
+    weights broadcast along its rows.  Every stack entry is computed from
+    its own row alone.
 
     M is filled one (K, m) slice per eliminated coordinate: one expression for
     the whole stack would put two temporaries of M's size next to it, and M
@@ -84,11 +88,11 @@ def _eliminate_hyperplanes(B, A):
     k = np.argmax(np.abs(A), axis=1)  # ties resolve to the lowest index
     j = np.arange(d - 1)
     rest = j + (j >= k[:, None])
-    c = np.ascontiguousarray(B[:, k].T) / A[np.arange(K), k][:, None]
+    c = Bt[k] / A[np.arange(K), k][:, None]
     a_rest = np.take_along_axis(A, rest, axis=1)
-    M = np.empty((K, d - 1, B.shape[0]))
+    M = np.empty((K, d - 1, Bt.shape[1]))
     for col in range(d - 1):
-        np.subtract(B.T[rest[:, col]], a_rest[:, col, None] * c, out=M[:, col])
+        np.subtract(Bt[rest[:, col]], a_rest[:, col, None] * c, out=M[:, col])
     return M, c, k, rest
 
 
@@ -113,14 +117,16 @@ def _residual(M, z, c):
     return r
 
 
-def _newton_step(M, grad, curv=None):
+def _newton_step(M, grad, curv=None, work=None):
     """Solve (M[i] diag(curv[i]) M[i]^T) step = -M[i] grad[i] per stack entry.
 
     For sum(phi(z @ M + c)) with phi' = grad and phi'' = curv at the current
     residual this is the Newton step in z.  With curv omitted (all ones) and
     grad = c it is the least-squares solution argmin_z ||z @ M + c||_2 itself.
+    With curv, M diag(curv) is written into ``work``, a buffer of at least
+    M's size, not into a fresh array.
     """
-    CM = M if curv is None else M * curv[:, None, :]
+    CM = M if curv is None else np.multiply(M, curv[:, None, :], out=work[: M.shape[0]])
     G = np.matmul(CM, M.transpose(0, 2, 1))
     rhs = -_matvec(M, grad)
     step, singular = _solve(G, rhs)
@@ -200,20 +206,22 @@ def _minimize(B, A, p):
     steps (HiGHS iterations on a p = 1 row HiGHS solves) and 0 without a
     solve.
 
-    B and A are first scaled by 2^-e, e the binary exponent of B's largest
-    entry, and x by the same factor at the end: that is exact in floating
-    point and keeps B x and a @ x, while the factorizations and solves see
-    entries of order one, so a result does not depend on the input's scale.
+    Everything is solved against S = 2^-e B, e the binary exponent of B's
+    largest entry, with A scaled by the same 2^-e and x by the same factor
+    at the end: that is exact in floating point and keeps B x and a @ x,
+    while the factorizations and solves see entries of order one, so a
+    result does not depend on the input's scale.  B is a matrix or its
+    ``FactoredMatrix``; given the latter, as the regression reduction gives
+    it, S and the certificate are taken from it, and B is neither rescaled
+    nor factored here.  ``_min_lp_irls`` makes one pass over S for its row
+    norms and S^T, however many chunks it solves.
     """
     K, d = A.shape
-    e = np.frexp(max(B.max(), -B.min()))[1]  # |B|'s largest entry, without forming |B|
-    B, A = np.ldexp(B, -e), np.ldexp(A, -e)
+    e, B, factor = _factored(B)
+    A = np.ldexp(A, -e)
     x, value = np.empty((K, d)), np.zeros(K)
     converged, iterations = np.ones(K, dtype=bool), np.zeros(K, dtype=np.intp)
-    factor = certified_cholesky(B)
     if factor is not None:
-        # B's largest entry is in [0.5, 1), so its Gram needs no rescale
-        assert factor.s is B
         W, V, rest = factor.r_inv, None, np.arange(K)
     else:
         R = np.linalg.qr(B, mode="r")  # R^T R = B^T B; cheaper to factor than B
@@ -244,6 +252,16 @@ def _minimize(B, A, p):
             y, value[rest], converged[rest], iterations[rest] = _min_lp_irls(B, inner, p)
         x[rest] = y if V is None else np.einsum("ik,kj->ij", y, V)
     return np.ldexp(x, -e), value, converged, iterations
+
+
+def _factored(B):
+    """B's ``FactoredMatrix``; B itself when it is one."""
+    if isinstance(B, FactoredMatrix):
+        return B
+    B = as_matrix(B)
+    e = top_exponent(B)
+    S = B if e == 0 else np.ldexp(B, -e)
+    return FactoredMatrix(e, S, certified_cholesky(S))
 
 
 @dataclass(frozen=True)
@@ -457,14 +475,26 @@ def _min_lp_irls(B, A, p):
     K, d = A.shape
     x, value = np.empty((K, d)), np.empty(K)
     converged, iterations = np.empty(K, dtype=bool), np.empty(K, dtype=np.intp)
+    # one pass over B per call, not per chunk: its row norms, and B^T, whose
+    # contiguous rows the elimination gathers in place of B's strided columns
+    cut = _CERT_TOL * np.linalg.norm(B, axis=1)
+    Bt = np.ascontiguousarray(B.T)
     step = max(1, _CHUNK_ELEMENTS // (B.shape[0] * (d - 1)))  # rows per chunk
-    for part in (slice(s, s + step) for s in range(0, K, step)):
-        x[part], value[part], converged[part], iterations[part] = _irls_chunk(B, A[part], p)
+    for start in range(0, K, step):
+        # B^T is B's size: it goes in a list the chunk empties, so once the
+        # last chunk has eliminated its rows, no frame holds it in its Newton steps
+        part, owned = slice(start, start + step), [Bt]
+        if start + step >= K:
+            del Bt
+        x[part], value[part], converged[part], iterations[part] = _irls_chunk(
+            B, owned, A[part], cut, p
+        )
     return x, value, converged, iterations
 
 
-def _irls_chunk(B, A, p):
-    M, c, k, rest = _eliminate_hyperplanes(B, A)
+def _irls_chunk(B, owned_bt, A, cut, p):
+    """``_min_lp_irls`` on one chunk of rows; ``owned_bt`` = [B^T] is emptied."""
+    M, c, k, rest = _eliminate_hyperplanes(owned_bt.pop(), A)
     z = _newton_step(M, c)  # from z = 0, where r = c: least squares
     r = _residual(M, z, c)
     K = A.shape[0]
@@ -472,14 +502,16 @@ def _irls_chunk(B, A, p):
     iterations = np.zeros(K, dtype=np.intp)
     converged = np.ones(K, dtype=bool)
     todo = np.arange(K)  # the open rows; M, c, z and r hold theirs alone
-    cut = _CERT_TOL * np.linalg.norm(B, axis=1)
     # B_j parallel to a: B_j x = t (a @ x) = t never vanishes
     shut = np.einsum("ijk,ijk->ik", M, M) <= cut * cut
     if p == 1:
         # smooth each row relative to its largest starting residual: the path
         # then does not depend on the scale of B or a
         scale = np.abs(r).max(axis=1, keepdims=True)
-        M, c, r = M / scale[:, :, None], c / scale, r / scale
+        M /= scale[:, :, None]
+        c /= scale
+        r /= scale
+    work = np.empty_like(M)  # every Newton step's M diag(phi'')
     for delta in _DELTAS:
         d2 = delta * delta
         converged[todo] = False
@@ -489,7 +521,7 @@ def _irls_chunk(B, A, p):
         obj = t.sum(axis=1)
         grad, curv = _smoothed_derivatives(ra, d2, p, t)
         for _ in range(_MAX_INNER):
-            z_new = za + _newton_step(Ma, grad, curv)
+            z_new = za + _newton_step(Ma, grad, curv, work)
             iterations[todo[act]] += 1
             r_new = _residual(Ma, z_new, ca)
             t = _smoothed(r_new, d2, p)
@@ -613,8 +645,8 @@ def sensitivities_wrt(M, B, p) -> np.ndarray:
     certified or HiGHS-solved LP optimum).
     """
     M = as_matrix(M)
-    B = as_matrix(B)
-    _check_columns_and_p(B, M, "M", p)
+    B = _factored(B)
+    _check_columns_and_p(B.s, M, "M", p)
     live = np.flatnonzero(np.any(M != 0.0, axis=1))
     _, values, converged, _ = _minimize(B, M[live], p)
     if not converged.all():

@@ -45,7 +45,8 @@ def random_tall(rng, n, d, scale_rows=False):
 def factorization_shapes(monkeypatch, call):
     """The factorizations ``call`` decides a rank with, in order:
     ("cholesky", shape) for each ``certified_cholesky`` in ``lpsens.core``
-    and ``lpsens.reduce`` (the regression's rank check) that certifies, and
+    and ``lpsens.reduce`` (the regression's factor of its augmented matrix,
+    which is also its rank check) that certifies, and
     ("pivoted", shape) for each column-pivoted ``scipy.linalg.qr``.  The
     bindings imported into other modules, such as the oracle's factor of its
     own B, are not spied on."""

@@ -9,7 +9,8 @@ certificate refuses the input.  The two calls that read no q,
 ``lp_embedding`` with given weights and ``leverage_approx``, prove full rank
 on a row sample or a sketch instead and run the gate only when that proof
 falls short; ``regression_via_sensitivity`` reads no q either, and its one
-factorization is the certificate, or the gate's where the certificate refuses.
+factorization is the certificate of its augmented matrix [A -b; 0 -lam],
+which proves A's rank too, or the gate's where that certificate refuses.
 
 ``factorization_shapes`` counts both kinds on the input's own n x d shape;
 the matrices are tall enough that no sampled embedding keeps every row, so a
@@ -104,8 +105,9 @@ def test_ill_conditioned_input_takes_one_pivoted_qr(monkeypatch, entry):
 
 @pytest.mark.parametrize("refused", [False, True], ids=["certified", "refused"])
 def test_regression_reads_no_q_factor(tall, monkeypatch, refused):
-    # the reduction needs full rank but no q: the certificate is its one
-    # factorization of A, and only an input it refuses takes the gate's basis
+    # the reduction needs full rank but no q: the certificate of [A -b; 0 -lam]
+    # is its one Gram, and proves A's rank as well; only an augmented matrix
+    # it refuses sends A to the gate's basis
     import lpsens.core as core
 
     a = _ill_conditioned(np.random.default_rng(8), N, D, 1e8) if refused else tall
@@ -114,8 +116,10 @@ def test_regression_reads_no_q_factor(tall, monkeypatch, refused):
     seen = factorization_shapes(
         monkeypatch, lambda: L.regression_via_sensitivity(a, np.ones(N), 1.5)
     )
-    kind = "pivoted" if refused else "cholesky"
-    assert [x for x in seen if x[1] == a.shape] == [(kind, a.shape)], seen
+    if refused:
+        assert [x for x in seen if x[1] == a.shape] == [("pivoted", a.shape)], seen
+    else:
+        assert seen == [("cholesky", (N + 1, D + 1))], seen
     assert bases == ([a.shape] if refused else [])
 
 

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from conftest import random_tall, regression_direct
+from lpsens.core import RankDeficientError
 from lpsens.reduce import (
     default_anchor_scale,
     leave_one_out_multiregression,
@@ -59,6 +62,73 @@ class TestRegressionReduction:
                 regression_via_sensitivity(a, b, p)
         with pytest.raises(ValueError):
             regression_via_sensitivity(a, b, 1, lam=0.0)
+        # a zero A: its default lam is 0 too, and the rank error comes first
+        with pytest.raises(RankDeficientError):
+            regression_via_sensitivity(np.zeros((10, 2)), b, 1)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_consistent_system_at_a_tiny_lambda_costs_zero(self, monkeypatch, p):
+        # b = A y and lam = 1e-9: the SVD cut calls [A -b; 0 -lam] rank
+        # deficient, the anchor row lies outside its row space (sensitivity
+        # inf) and the cost is 0, not -lam^p.  A is certified, the augmented
+        # matrix is not, so A's rank comes from the gate
+        import lpsens.reduce as reduce
+
+        g = np.random.default_rng(0)
+        a = g.standard_normal((20000, 8))
+        b = a @ g.standard_normal(8)
+        gate, gated = reduce.require_tall_full_rank, []
+        monkeypatch.setattr(
+            reduce, "require_tall_full_rank", lambda x: gated.append(x.shape) or gate(x)
+        )
+        assert regression_via_sensitivity(a, b, p, lam=1e-9) == 0.0
+        assert gated == [a.shape]
+        # the default lam: the rounding once left -1.8e-19 at p = 2
+        assert regression_via_sensitivity(a, b, p) >= 0.0
+
+
+class TestOneFactorization:
+    """The regression factors its augmented matrix once, and the oracle
+    solves against that factor."""
+
+    @staticmethod
+    def instance():
+        g = np.random.default_rng(5)
+        a = g.standard_normal((20000, 16)) * np.exp(g.uniform(-2.0, 2.0, 20000))[:, None]
+        return a, g.standard_normal(20000)
+
+    def test_one_certificate_per_call(self, monkeypatch):
+        import lpsens.core as core
+        import lpsens.reduce as reduce
+        import lpsens.regress as regress
+
+        certify, shapes = core.certified_cholesky, []
+
+        def counting(x):
+            shapes.append(x.shape)
+            return certify(x)
+
+        for module in (core, reduce, regress):
+            monkeypatch.setattr(module, "certified_cholesky", counting)
+        a, b = self.instance()
+        regression_via_sensitivity(a, b, 1.5)
+        assert shapes == [(20001, 17)]
+
+    def test_working_memory(self):
+        # the augmented matrix is built already scaled, B^T is dropped once the
+        # hyperplane is eliminated, and the Newton steps write one buffer:
+        # about 3.5 copies of [A -b; 0 -lam] at the peak, where building it
+        # unscaled and rescaling a copy, with a fresh M diag(phi'') per Newton
+        # step, took 4.4
+        a, b = self.instance()
+        regression_via_sensitivity(a[:100], b[:100], 1.5)  # imports and caches outside the count
+        tracemalloc.start()
+        try:
+            regression_via_sensitivity(a, b, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.0 * 20001 * 17 * 8, peak / (20001 * 17 * 8)
 
 
 class TestLeaveOneOut:

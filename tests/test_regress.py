@@ -12,7 +12,7 @@ from conftest import (
     random_tall,
     sensitivity_grid_2d,
 )
-from lpsens.core import NonConvergenceError
+from lpsens.core import FactoredMatrix, NonConvergenceError, certified_cholesky, top_exponent
 from lpsens.reduce import default_anchor_scale
 from lpsens.regress import (
     _bracket,
@@ -189,25 +189,59 @@ class TestSensitivities:
 
 
 class TestEliminateHyperplanes:
-    @pytest.mark.parametrize("K, d", [(1, 2), (1, 5), (7, 2), (7, 5)])
+    @pytest.mark.parametrize("K, d", [(1, 2), (1, 5), (1, 17), (7, 2), (7, 5), (7, 17)])
     def test_same_bits_as_one_expression(self, np_rng, K, d):
+        # the elimination gathers rows of a contiguous B^T; the one expression
+        # gathers B's strided columns
         b = random_tall(np_rng, 30, d, scale_rows=True)
         rows = np_rng.standard_normal((K, d))
-        M, c, k, rest = _eliminate_hyperplanes(b, rows)
+        M, c, k, rest = _eliminate_hyperplanes(np.ascontiguousarray(b.T), rows)
+        np.testing.assert_array_equal(c, b[:, k].T / rows[np.arange(K), k][:, None])
         a_rest = np.take_along_axis(rows, rest, axis=1)
         np.testing.assert_array_equal(M, b.T[rest] - a_rest[:, :, None] * c[:, None, :])
 
     def test_working_memory_near_the_stack(self):
         # the one-expression form puts two temporaries of M's size next to it
         g = np.random.default_rng(21)
-        b, rows = g.standard_normal((3000, 16)), g.standard_normal((40, 16))
+        bt, rows = np.ascontiguousarray(g.standard_normal((3000, 16)).T), g.standard_normal((40, 16))
         tracemalloc.start()
         try:
-            M = _eliminate_hyperplanes(b, rows)[0]
+            M = _eliminate_hyperplanes(bt, rows)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * M.nbytes, peak / M.nbytes
+
+
+class TestFactoredMatrix:
+    """A ``FactoredMatrix`` built outside the oracle, as the regression
+    reduction builds one, gives the bits of the oracle's own factoring of B."""
+
+    @staticmethod
+    def factored(b):
+        e = top_exponent(b)
+        s = np.ldexp(b, -e)
+        return FactoredMatrix(e, s, certified_cholesky(s))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("case", ["certified", "refused", "exponent_0"])
+    def test_same_bits_as_the_matrix(self, p, case):
+        import lpsens.regress as regress
+
+        g = np.random.default_rng(31)
+        b = random_tall(g, 60, 4, scale_rows=True)
+        if case == "refused":
+            b[:, 3] = 2.0 * b[:, 1]  # rank 3: the V path, and rows outside get inf
+        elif case == "exponent_0":
+            b /= 2.0 * np.abs(b).max()  # largest |entry| 0.5: no rescale, no copy
+            assert regress._factored(b).s is b
+        rows = g.standard_normal((9, 4))
+        rows[4] = 0.0
+        factored = self.factored(b)
+        assert (factored.factor is None) == (case == "refused")
+        got = sensitivities_wrt(rows, factored, p)
+        np.testing.assert_array_equal(got, sensitivities_wrt(rows, b, p))
+        assert got[4] == 0.0 and np.isinf(got).any() == (case == "refused")
 
 
 class TestBatchedIrls:

@@ -5,8 +5,9 @@ optimal regression cost into an exact function of one row's sensitivity;
 appending a scaled identity block turns all d leave-one-out column
 regressions into d sensitivities of a single augmented matrix.
 
-The regression's augmented matrix is scaled and factored once, and that one
-certificate serves both the oracle and A's rank check.
+Each augmented matrix is built already scaled to the power of two the oracle
+solves at and factored once; the regression's certificate serves both the
+oracle and A's rank check.
 """
 
 from __future__ import annotations
@@ -91,15 +92,20 @@ def leave_one_out_multiregression(a, p, lam=None) -> np.ndarray:
     OPT_i as lam shrinks.
 
     A may be rank deficient (duplicate columns are the interesting case);
-    the identity block keeps the augmented matrix full rank.
+    the identity block keeps the augmented matrix full rank.  [A; lam I] is
+    built at the power of two the oracle solves at and factored once.
     """
     a = as_matrix(a)
     n, d = a.shape
     check_exponent(p)
     lam = _anchor_scale(a, lam)
 
-    augmented = np.vstack([a, lam * np.eye(d)])
-    sigmas = sensitivities_wrt(augmented[n:], augmented, p)
+    e = top_exponent(a, lam)
+    scaled = np.zeros((n + d, d))
+    np.ldexp(a, -e, out=scaled[:n])
+    np.fill_diagonal(scaled[n:], np.ldexp(lam, -e))
+    augmented = FactoredMatrix(e, scaled, certified_cholesky(scaled))
+    sigmas = sensitivities_wrt(lam * np.eye(d), augmented, p)
     if not np.all(sigmas > 0):
         raise ValueError("an anchor-row sensitivity vanished; reduction undefined")
     return lam**p / sigmas

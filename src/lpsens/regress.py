@@ -33,10 +33,14 @@ the others run the remaining stages.
 IRLS eliminates each row's hyperplane into one entry of a stack of
 (d - 1, m) matrices, and every iteration forms and solves the Newton systems
 of the rows still active as one stack; the crossover and the bracket are
-each one stack of d x d systems.  Rows retire as soon as they finish, and
-no row's arithmetic depends on another's, so a row gets bit-identical
-results whether it is solved alone or in any batch.  Working memory is capped by solving the rows
-in chunks of at most ``_CHUNK_ELEMENTS`` stacked matrix entries.
+each one stack of d x d systems.  A smoothing stage ends for a row once one
+step changes its objective by at most 1e-11 relative, at p != 1 by
+min(1e-6, delta^1.5) (``_STAGE_RTOL``).  A halved step's residual is the
+midpoint of the old and the new one, so the line search reads no stack
+again.  Rows retire as soon as they finish, and no row's arithmetic depends
+on another's, so a row gets bit-identical results whether it is solved
+alone or in any batch.  Working memory is capped by solving the rows in
+chunks of at most ``_CHUNK_ELEMENTS`` stacked matrix entries.
 """
 
 from __future__ import annotations
@@ -178,6 +182,13 @@ def _solve(G, rhs):
 
 _DELTAS = 10.0 ** np.arange(-2.0, -11.0, -1.0)  # 1e-2 geometrically down to 1e-10
 _MAX_INNER = 60  # IRLS iterations per delta
+# at p != 1 a row ends a delta once one step changes the objective by at most
+# min(_STAGE_RTOL, delta^1.5) relative, never less than 1e-11, which is what
+# the small deltas, the last among them, and every p = 1 delta take.  Earlier
+# points only start the next delta; the delta^1.5 cap is for p near 1, where a
+# flat 1e-6 ended stages before their near-zero residuals settled, and rows
+# at p = 1.01 then ran out of steps at the last delta
+_STAGE_RTOL = 1e-6
 _CERT_TOL = 1e-9  # round-off a p = 1 vertex certificate allows, relative
 _BRACKET_RTOL = 1e-12  # relative gap at which a p != 1 row's bracket retires it
 # float64 entries of one stack of eliminated matrices; rows are solved in
@@ -278,14 +289,17 @@ def solve_lp(B, a) -> LPResult:
     ``value`` is ||B x||_1 at the returned x and ``pivots`` HiGHS's iteration
     count.  Only the rows no vertex crossover certifies get here, so
     scipy.optimize is imported here, on first use, not with the package.
+    The constraint matrix is sparse: its two m x m identity blocks, dense,
+    would take 16 m^2 bytes (4 GB at m = 16000).
     """
+    import scipy.sparse as sp
     from scipy.optimize import linprog
 
     m, d = B.shape
-    eye = np.eye(m)
+    eye = sp.eye(m)
     res = linprog(
         np.concatenate([np.zeros(d), np.ones(m)]),
-        A_ub=np.block([[B, -eye], [-B, -eye]]),
+        A_ub=sp.bmat([[B, -eye], [-B, -eye]], format="csc"),
         b_ub=np.zeros(2 * m),
         A_eq=np.concatenate([a, np.zeros(m)])[None, :],
         b_eq=[1.0],
@@ -455,12 +469,13 @@ def _min_lp_irls(B, A, p):
     hyperplane is eliminated into a stack entry (M, c).  Each iteration is a
     Newton step, IRLS with the weights phi''(r): the systems
     (M diag(phi''(r)) M^T) step = -M phi'(r) of the still-active rows are
-    formed and solved as one stack, and the step is halved until the
-    objective falls by a quarter of the decrease its slope predicts.  A row
-    finishes a delta when one step changes the objective by at most 1e-11
-    relative, and is reported not converged when it does not finish the last
-    delta within _MAX_INNER steps.  B has full column rank, A no zero rows
-    and d >= 2.
+    formed and solved as one stack, and the step is halved, its residual
+    the midpoint of the old and the new one, until the objective falls by a
+    quarter of the decrease its slope predicts.  A row finishes a delta when
+    one step changes the objective by at most 1e-11 relative (at p != 1 by
+    min(_STAGE_RTOL, delta^1.5)), and is reported not converged when it does
+    not finish the last delta within _MAX_INNER steps.  B has full column
+    rank, A no zero rows and d >= 2.
 
     After each delta but the first the open rows are checked, and a row the
     check certifies retires for good, converged even if that delta ran out
@@ -514,6 +529,7 @@ def _irls_chunk(B, owned_bt, A, cut, p):
     work = np.empty_like(M)  # every Newton step's M diag(phi'')
     for delta in _DELTAS:
         d2 = delta * delta
+        rtol = 1e-11 if p == 1 else min(_STAGE_RTOL, max(delta**1.5, 1e-11))
         converged[todo] = False
         act = np.arange(todo.size)  # rows still iterating at this delta
         Ma, ca, za, ra = M, c, z, r
@@ -533,17 +549,19 @@ def _irls_chunk(B, owned_bt, A, cut, p):
             # far from the minimum a full Newton step can overshoot, on either
             # side of p = 2 (at p = 1.5 it maps a lone residual r to -r, which
             # leaves the objective unchanged); halve back towards the old point
-            # until the objective falls by a quarter of what the slope predicts
+            # until the objective falls by a quarter of what the slope predicts.
+            # r is affine in z, so the halved step's residual is the midpoint
+            # of the two, and M is not read again
             for _ in range(40):
                 up = np.flatnonzero(obj_new > obj * (1.0 + 1e-12) + 0.25 * slope)
                 if up.size == 0:
                     break
                 z_new[up] = 0.5 * (z_new[up] + za[up])
-                r_new[up] = _residual(Ma[up], z_new[up], ca[up])
+                r_new[up] = 0.5 * (r_new[up] + ra[up])
                 t[up] = _smoothed(r_new[up], d2, p)
                 obj_new[up] = t[up].sum(axis=1)
                 slope[up] *= 0.5
-            done = np.abs(obj - obj_new) <= 1e-11 * (1.0 + np.abs(obj_new))
+            done = np.abs(obj - obj_new) <= rtol * (1.0 + np.abs(obj_new))
             za, ra, obj = z_new, r_new, obj_new
             if done.any():
                 # retire the rows converged at this delta; copy the rest only now

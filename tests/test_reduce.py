@@ -11,6 +11,7 @@ from lpsens.reduce import (
     leave_one_out_multiregression,
     regression_via_sensitivity,
 )
+from lpsens.regress import sensitivities_wrt
 
 
 class TestRegressionReduction:
@@ -166,6 +167,17 @@ class TestLeaveOneOut:
         seq = [leave_one_out_multiregression(a, 1, lam=l) for l in lams]
         for earlier, later in zip(seq, seq[1:]):
             assert np.all(later <= earlier + 1e-10)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-40, 3.0e9])
+    def test_prescaled_matrix_keeps_the_bits(self, np_rng, p, scale):
+        # [A; lam I] built already scaled gives the values of the plain one
+        a = scale * random_tall(np_rng, 40, 4, scale_rows=True)
+        lam = default_anchor_scale(a)
+        augmented = np.vstack([a, lam * np.eye(4)])
+        want = lam**p / sensitivities_wrt(augmented[40:], augmented, p)
+        got = leave_one_out_multiregression(a, p)
+        assert got.tobytes() == want.tobytes()
 
     def test_output_length_is_d(self, np_rng):
         a = random_tall(np_rng, 20, 4)

@@ -321,12 +321,29 @@ class TestBatchedIrls:
         a = g.standard_normal(3)
         ref = min_lp_on_hyperplane(b, a, 1.01)
         assert ref.status == "optimal"
-        for budget in (1, 2):
-            monkeypatch.setattr(regress, "_MAX_INNER", budget)
-            sol = min_lp_on_hyperplane(b, a, 1.01)
-            assert sol.status == "iteration_limit"
-            assert sol.iterations == len(regress._DELTAS) * budget
-            assert sol.value >= ref.value
+        stages = len(regress._DELTAS)
+        monkeypatch.setattr(regress, "_MAX_INNER", 1)
+        sol = min_lp_on_hyperplane(b, a, 1.01)
+        assert sol.status == "iteration_limit"
+        assert sol.iterations == stages
+        assert sol.value >= ref.value
+        # with two steps a stage before the last may finish after one on its
+        # loose tolerance; the last runs both and does not finish.  Every step
+        # the row does not finish on is followed by one call of the derivatives
+        last, derivatives = regress._DELTAS[-1], regress._smoothed_derivatives
+        last_stage = []
+
+        def spy(r, d2, p, t):
+            last_stage.append(d2 == last * last)
+            return derivatives(r, d2, p, t)
+
+        monkeypatch.setattr(regress, "_MAX_INNER", 2)
+        monkeypatch.setattr(regress, "_smoothed_derivatives", spy)
+        sol = min_lp_on_hyperplane(b, a, 1.01)
+        assert sol.status == "iteration_limit"
+        assert stages + 1 <= sol.iterations <= 2 * stages
+        assert sum(last_stage) == 1 + 2  # the stage's start, then each of its two steps
+        assert sol.value >= ref.value
 
     def test_iteration_limit_raises(self, np_rng, monkeypatch):
         import lpsens.regress as regress
@@ -337,6 +354,66 @@ class TestBatchedIrls:
             sensitivities_wrt(b, b, 1.01)
         with pytest.raises(NonConvergenceError):
             sensitivities_exact(b, 1.01)
+
+    @staticmethod
+    def heavy_tailed(seed):
+        g = np.random.default_rng(seed)
+        return g.standard_normal((128, 4)) * np.exp(g.uniform(-1.5, 1.5, 128))[:, None]
+
+    @pytest.mark.parametrize("p, rtol", [(1.01, 1e-10), (1.5, 2e-12), (3.0, 2e-12)])
+    def test_loose_stages_keep_the_values(self, monkeypatch, p, rtol):
+        # only the last delta's point is scored: ending the earlier stages at
+        # min(1e-6, delta^1.5) saves Newton steps, moves no value at p = 1.5
+        # or 3 past the bracket's 1e-12 and, at p = 1.01, none past the last
+        # stage's own 1e-11 by much.  A flat 1e-6 there left 8 of these rows at
+        # the iteration limit and others 2e-9 off
+        import lpsens.regress as regress
+
+        b = self.heavy_tailed(27)
+        _, value, converged, iterations = regress._minimize(b, b, p)
+        monkeypatch.setattr(regress, "_STAGE_RTOL", 1e-11)
+        _, tight, tight_converged, tight_iterations = regress._minimize(b, b, p)
+        assert converged.all() and tight_converged.all()
+        np.testing.assert_allclose(value, tight, rtol=rtol)
+        assert iterations.sum() < tight_iterations.sum()
+
+    def test_p1_ignores_the_stage_tolerance(self, monkeypatch):
+        # at p = 1 every stage keeps 1e-11: the tight stages lead the crossover
+        import lpsens.regress as regress
+
+        b = self.heavy_tailed(28)
+        want = regress._minimize(b, b, 1)
+        for rtol in (1e-3, 1e-11):
+            monkeypatch.setattr(regress, "_STAGE_RTOL", rtol)
+            for got, ref in zip(regress._minimize(b, b, 1), want):
+                assert got.tobytes() == ref.tobytes()
+
+    def test_line_search_reads_no_residual(self, monkeypatch):
+        # a halved step's residual is the midpoint of the old and the new one:
+        # one residual product per Newton step (and one for the least-squares
+        # start), however often the steps are halved
+        import lpsens.regress as regress
+
+        names = ("_residual", "_newton_step", "_smoothed", "_smoothed_derivatives", "_bracket")
+        calls = dict.fromkeys(names, 0)
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(regress, name, counting(name, getattr(regress, name)))
+        b = self.heavy_tailed(29)
+        assert regress._minimize(b, b, 1.5)[2].all()
+        assert calls["_residual"] == calls["_newton_step"]
+        # each stage evaluates the objective once at its start, once per step
+        # and once per round of halvings, and the derivatives once at its start
+        # and after every step but one that finishes it: the rest are halvings
+        stages = calls["_bracket"] + 1
+        assert calls["_smoothed"] - calls["_smoothed_derivatives"] - stages > 0
 
     @staticmethod
     def polished_minimum(b, a, p, x, steps=8):

@@ -8,6 +8,8 @@ in any batch, and that a row whose certificate fails is the only one
 rerouted to HiGHS.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,23 @@ class TestStack:
         for i in range(len(A)):
             assert_same_bits(B, A, i, batch)
             assert_optimal(B, A[i], batch[0][i], batch[1][i])
+
+
+def test_highs_working_memory():
+    # the LP's two m x m identity blocks are sparse: dense, a 2000 x 4 B's
+    # constraint matrix alone took 128 MB
+    g = np.random.default_rng(5)
+    B = g.standard_normal((2000, 4)) * np.exp(g.uniform(-1.5, 1.5, 2000))[:, None]
+    a = g.standard_normal(4)
+    solve_lp(B[:10], a)  # imports outside the count
+    tracemalloc.start()
+    try:
+        lp = solve_lp(B, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
+    assert_optimal(B, a, lp.x, lp.value)
 
 
 def test_failed_dual_recovery_reroutes_that_row_alone(np_rng, monkeypatch):

@@ -12,7 +12,13 @@ sQ and (sQ) L^-T, and the n-vectors of scores and residuals, are written into
 buffers each call allocates once: at tall n, fresh arrays on every iteration
 cost first-touched pages and cold cache lines, a large share of the call.
 At p = 2 the scaling W^0 is the identity and the weights are the squared row
-norms of Q, with no iteration at all.
+norms of Q, with no iteration at all.  Every other p starts from those
+leverage scores raised to p/2 and scaled to sum d: for rows that are
+isotropic up to their scale the fixed point scales like lev^(p/2), while
+from the uniform d/n the first iteration computes lev and, at b = 1, steps
+to exactly lev.  The power is taken in log space and shifted by its maximum
+before exp, since lev^(p/2) underflows to all zeros at large p when every
+score is near d/n.
 
 The base map is the damped log-space step x -> (1 - b) x + b log tau(e^x),
 x = log w.  It contracts only for p < 4 (Cohen and Peng, 2015), and slowly
@@ -68,8 +74,12 @@ def lewis_weights(a, cfg: LewisConfig) -> WeightVector:
     NonConvergenceError naming p and the iteration count, with the final
     residual attached.
 
-    The mixed log-weights are clipped to [log F, 0], since Lewis weights lie
-    in (0, 1].  The first step has no history and is the plain damped one.
+    The iteration starts at w_i proportional to max(|q_i|^2, F)^(p/2),
+    scaled to sum d and clipped to [F, 1]; the power is exp of
+    (p/2) log max(|q_i|^2, F) less its maximum, so the start is finite and
+    not all zero at any p >= 1.  The mixed log-weights are clipped to
+    [log F, 0], since Lewis weights lie in (0, 1].  The first step has no
+    history and is the plain damped one.
     A residual larger than the last one, or a singular mixing system, drops
     the history and takes the plain step from the current point.
 
@@ -85,9 +95,11 @@ def lewis_weights(a, cfg: LewisConfig) -> WeightVector:
     if not live.all():
         q = q[live]
     weights = np.zeros(a.shape[0])
+    lev = np.einsum("ij,ij->i", q, q)
+    np.maximum(lev, _FLOOR, out=lev)
     if cfg.p == 2:
         # W^0 A = A: the fixed point is the leverage scores of q, no iteration
-        weights[live] = np.maximum(np.einsum("ij,ij->i", q, q), _FLOOR)
+        weights[live] = lev
         return WeightVector(values=weights, kind="lewis", p=float(cfg.p))
     n, d = q.shape
     expo = 0.5 - 1.0 / cfg.p
@@ -103,7 +115,12 @@ def lewis_weights(a, cfg: LewisConfig) -> WeightVector:
     # would (the pivoted QR's q is Fortran-ordered), so BLAS reads it the same
     y, z = np.empty_like(q), np.empty((n, d))
     tau, scratch = np.empty(n), np.empty(n)
-    w = np.full(n, d / n)
+    # start at lev^(p/2) scaled to sum d, written over lev; its log is shifted
+    # by its maximum first, since lev^(p/2) itself underflows to all zeros at
+    # large p
+    w = np.multiply(np.log(lev, out=lev), 0.5 * cfg.p, out=lev)
+    np.exp(np.subtract(w, np.max(w), out=w), out=w)
+    np.clip(np.multiply(w, d / np.sum(w), out=w), _FLOOR, 1.0, out=w)
     residual = prev_residual = np.inf
     for _ in range(_MAX_ITERS):
         np.maximum(w, _FLOOR, out=w)

@@ -43,12 +43,15 @@ def allocating_lewis_weights(a, p, branches):
     if not live.all():
         q = q[live]
     weights = np.zeros(a.shape[0])
+    lev = np.maximum(np.einsum("ij,ij->i", q, q), _FLOOR)
     n, d = q.shape
     expo, beta, eye = 0.5 - 1.0 / p, LewisConfig(p=p).beta, np.eye(d)
     df, dg = np.empty((n, _DEPTH)), np.empty((n, _DEPTH))
     kept = 0
     f_prev = g_prev = None
-    w = np.full(n, d / n)
+    x = (0.5 * p) * np.log(lev)
+    w = np.exp(x - np.max(x))
+    w = np.clip(w * (d / np.sum(w)), _FLOOR, 1.0)
     prev_residual = np.inf
     for _ in range(_MAX_ITERS):
         w = np.maximum(w, _FLOOR)
@@ -158,7 +161,9 @@ class TestFixedPoint:
     def test_iteration_budget(self, monkeypatch):
         # one d x d Cholesky per iteration, none at p = 2 (its fixed point is
         # the leverage scores); the plain damped map needs 21, 11, 16, 74 and
-        # 119 of them at the other p here
+        # 119 of them at the other p here, and the uniform start d/n took 6,
+        # 8 and 18 at p = 1.5, 3 and 5 where the start lev^(p/2) takes 4, 6
+        # and 14
         import scipy.linalg
 
         g = np.random.default_rng(2000)
@@ -176,8 +181,40 @@ class TestFixedPoint:
             lewis_weights(a, LewisConfig(p=p))
             used[p] = len(calls)
         assert used[2.0] == 0
-        assert max(used[1.0], used[1.5], used[3.0]) <= 10
-        assert used[5.0] <= 20 and used[8.0] <= 32, used
+        assert used[1.0] <= 10 and used[1.5] <= 5 and used[3.0] <= 7, used
+        assert used[5.0] <= 17 and used[8.0] <= 32, used
+
+    @pytest.mark.parametrize("scale_rows", [False, True], ids=["flat", "row_scaled"])
+    def test_start_is_finite_and_in_range(self, scale_rows, monkeypatch):
+        # lev^(p/2) itself underflows to all zeros at large p when every
+        # leverage score is near d/n = 1e-4; with _TOL = inf the call returns
+        # its start after one iteration
+        import scipy.linalg
+
+        import lpsens.lewis as lewis
+
+        g = np.random.default_rng(4000)
+        a = g.standard_normal((20000, 2))
+        if scale_rows:
+            a *= np.exp(g.uniform(-2, 2, 20000))[:, None]
+        gated = require_tall_full_rank(a)
+        lev = np.maximum(np.einsum("ij,ij->i", gated.q, gated.q), 1e-12)
+        assert lev.max() < 1.0
+        cholesky, calls = scipy.linalg.cholesky, []
+
+        def counting_cholesky(x, *args, **kwargs):
+            calls.append(np.shape(x))
+            return cholesky(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cholesky", counting_cholesky)
+        np.testing.assert_array_equal(lewis_weights(gated, LewisConfig(p=2)).values, lev)
+        assert calls == []
+        monkeypatch.setattr(lewis, "_TOL", np.inf)
+        monkeypatch.setattr(lewis, "_MAX_ITERS", 1)
+        for p in (1.0, 1.5, 3.0, 24.0, 400.0):
+            w = lewis_weights(gated, LewisConfig(p=p)).values
+            assert np.all(np.isfinite(w)) and np.all((w >= 1e-12) & (w <= 1.0)), p
+            assert w.max() > 1e-12, p
 
     def test_singular_mixing_falls_back_to_the_plain_step(self, np_rng, monkeypatch):
         a = random_tall(np_rng, 60, 4, scale_rows=True)
@@ -271,7 +308,7 @@ class TestPerCallBuffers:
     """The iteration writes its n x d products into buffers each call
     allocates once; the allocating loop gives the same bits."""
 
-    PS = (1.0, 1.5, 3.0, 5.0, 16.0)
+    PS = (1.0, 1.5, 3.0, 5.0, 16.0, 24.0)
 
     @staticmethod
     def make_input(case):
@@ -296,7 +333,7 @@ class TestPerCallBuffers:
         for p in self.PS:
             ref = allocating_lewis_weights(a, p, branches)
             np.testing.assert_array_equal(lewis_weights(a, LewisConfig(p=p)).values, ref)
-        assert "restart" in branches  # p = 5 and 16 lose ground
+        assert "restart" in branches  # p = 16 and 24 lose ground
 
     def test_same_bits_when_every_other_mixing_system_is_singular(self, monkeypatch):
         # the monkeypatch of test_singular_mixing_falls_back_to_the_plain_step,

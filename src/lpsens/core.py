@@ -237,15 +237,15 @@ def orthonormal_basis(a) -> QRResult:
     factor = certified_cholesky(a)
     if factor is None:
         return pivoted_qr(a)
-    # q = (S R^-1) R2^-1, R2 the Cholesky factor of the first pass's Gram;
-    # the one n x d array allocated here takes both products
-    q = factor.s @ factor.r_inv
+    # q = (S R^-1) R2^-1, R2 the Cholesky factor of the first pass's Gram, in
+    # one n x d array: formed as (R^-T S^T)^T, q is Fortran-ordered like the
+    # pivoted QR's, and BLAS applies R2^-1 to it in place
+    q = (factor.r_inv.T @ factor.s.T).T
     r2, info = scipy.linalg.lapack.dpotrf(q.T @ q, lower=0, clean=1, overwrite_a=1)
     if info != 0:  # a certified R leaves cond(S R^-1) near 1: never seen
         return pivoted_qr(a)
     r2_inv, _ = scipy.linalg.lapack.dtrtri(r2, lower=0)
-    # q^T is Fortran-ordered, so BLAS forms R2^-T q^T = (q R2^-1)^T in place
-    q = scipy.linalg.blas.dtrmm(1.0, r2_inv, q.T, side=0, lower=0, trans_a=1, overwrite_b=1).T
+    q = scipy.linalg.blas.dtrmm(1.0, r2_inv, q, side=1, lower=0, overwrite_b=1)
     return QRResult(q=q, rank=a.shape[1])
 
 

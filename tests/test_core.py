@@ -200,6 +200,33 @@ class TestCholeskyCertificate:
                 np.testing.assert_allclose(fast, pivoted, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("shape", _SHAPES, ids=["200x4", "2000x16"])
+    def test_gate_q_is_fortran_ordered_and_orthonormal(self, shape):
+        # the Lewis iteration scales q into a Fortran-ordered buffer, so both
+        # gate paths hand it over in that order, with no copy
+        import scipy.linalg
+
+        eps = np.finfo(np.float64).eps
+        seen = set()
+        for k, cond in enumerate(_CONDS):
+            a = _conditioned(*shape, cond, seed=k)
+            if pivoted_qr(a).rank < shape[1]:
+                continue
+            q = require_tall_full_rank(a).q
+            assert q.flags.f_contiguous, cond
+            assert np.abs(q.T @ q - np.eye(shape[1])).max() <= 1e-14, cond
+            factor = certified_cholesky(a)
+            seen.add(factor is not None)
+            if factor is not None:
+                # CholeskyQR2 formed row-major, (S R^-1) R2^-1: the same q up to
+                # the order of its sums (bit-equal on most shapes)
+                old = factor.s @ factor.r_inv
+                r2, _ = scipy.linalg.lapack.dpotrf(old.T @ old, lower=0, clean=1)
+                r2_inv = scipy.linalg.lapack.dtrtri(r2, lower=0)[0]
+                old = scipy.linalg.blas.dtrmm(1.0, r2_inv, old.T, side=0, lower=0, trans_a=1).T
+                np.testing.assert_allclose(q, old, rtol=0, atol=4 * eps)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("shape", _SHAPES, ids=["200x4", "2000x16"])
     def test_refused_full_rank_p2_oracle_row_by_row(self, shape):
         # past the certificate but below RANK_TOL, the oracle's p = 2 closed
         # form on itself gives the leverage scores, from W = V^T / sigma

@@ -55,9 +55,12 @@ def allocating_lewis_weights(a, p, branches):
     prev_residual = np.inf
     for _ in range(_MAX_ITERS):
         w = np.maximum(w, _FLOOR)
-        y = q * (w**expo)[:, None]
+        # Fortran-ordered, as the library's buffer is, since the Gram's bits may
+        # depend on the memory order
+        y = np.asfortranarray(q * (w**expo)[:, None])
         chol = scipy.linalg.cholesky(y.T @ y, lower=True, check_finite=False)
-        z = y @ scipy.linalg.solve_triangular(chol, eye, lower=True, check_finite=False).T
+        linv = scipy.linalg.solve_triangular(chol, eye, lower=True, check_finite=False)
+        z = scipy.linalg.blas.dtrmm(1.0, linv, y, side=1, lower=1, trans_a=1)
         tau = np.maximum(np.einsum("ij,ij->i", z, z), _FLOOR)
         residual = float(np.max(np.abs(w - tau) / w))
         if residual <= _TOL:
@@ -305,8 +308,8 @@ class TestFixedPoint:
 
 
 class TestPerCallBuffers:
-    """The iteration writes its n x d products into buffers each call
-    allocates once; the allocating loop gives the same bits."""
+    """The iteration writes sQ and then (sQ) L^-T into one n x d buffer each
+    call allocates once; the allocating loop gives the same bits."""
 
     PS = (1.0, 1.5, 3.0, 5.0, 16.0, 24.0)
 
@@ -361,7 +364,9 @@ class TestPerCallBuffers:
 
     def test_working_memory_of_a_gated_call(self):
         # a fresh sQ and (sQ) L^-T every iteration peak near 3.9 n d 8 bytes,
-        # the per-call buffers near 3.1
+        # separate sQ and (sQ) L^-T buffers near 3.1, and one Fortran-ordered
+        # buffer that BLAS overwrites with (sQ) L^-T near 2.1; this bound
+        # fails if dtrmm copies it
         g = np.random.default_rng(20)
         a = g.standard_normal((20000, 16)) * np.exp(g.uniform(-2, 2, 20000))[:, None]
         gated = require_tall_full_rank(a)
@@ -371,7 +376,7 @@ class TestPerCallBuffers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * a.nbytes, peak / a.nbytes
+        assert peak <= 2.5 * a.nbytes, peak / a.nbytes
 
 
 class TestConfig:

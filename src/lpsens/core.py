@@ -3,15 +3,17 @@
 All functions are pure: they never mutate their inputs, and identical
 arguments (including random sources) give bit-identical results.
 
-One rank rule decides full column rank everywhere: a column-pivoted QR keeps
-the diagonal entries of R above RANK_TOL times the largest.  A tall matrix
-whose Gram matrix has a well-conditioned Cholesky factor provably passes that
-rule, so ``certified_cholesky`` proves full rank from two d x d
-factorizations, and the gate, ``matrix_rank`` and the exact leverage scores
-then take their orthonormal basis from CholeskyQR2 (Yamamoto, Nakatsukasa,
-Yanagisawa and Fukaya, 2015) instead of the pivoted QR.  Every matrix the
-certificate refuses (wide, rank deficient, ill conditioned) gets the pivoted
-QR, so the decision is the same either way.
+One rank rule decides the rank everywhere: a column-pivoted QR keeps the
+diagonal entries of R above RANK_TOL times the largest (``_r_rank``).  A tall
+matrix whose Gram matrix has a well-conditioned Cholesky factor provably
+passes that rule, so ``certified_cholesky`` proves full rank from two d x d
+factorizations.  Its users are the estimators' rank gate, ``matrix_rank``,
+the exact leverage scores, which take their orthonormal basis from
+CholeskyQR2 (Yamamoto, Nakatsukasa, Yanagisawa and Fukaya, 2015) where it
+certifies, and the oracle's ``FactoredMatrix.of``, which takes the row
+space of B from the same decision.  Every matrix the certificate refuses
+(wide, rank deficient, ill conditioned) gets the pivoted QR, so the decision
+is the same either way.
 """
 
 from __future__ import annotations
@@ -149,12 +151,13 @@ def pivoted_qr(a) -> QRResult:
     """
     a = as_matrix(a)
     q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True, check_finite=False)
+    return QRResult(q=q, rank=_r_rank(r))
+
+
+def _r_rank(r) -> int:
+    """The rank rule: the pivoted QR's diagonal entries above RANK_TOL times the largest."""
     diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(diag > RANK_TOL * diag[0]))
-    return QRResult(q=q, rank=rank)
+    return 0 if diag.size == 0 or diag[0] == 0.0 else int(np.sum(diag > RANK_TOL * diag[0]))
 
 
 class CholeskyFactor(NamedTuple):
@@ -251,9 +254,11 @@ def orthonormal_basis(a) -> QRResult:
 
 def matrix_rank(a) -> int:
     """The rank ``pivoted_qr`` decides, with no QR where the Gram's Cholesky
-    factor certifies full column rank."""
+    factor certifies full column rank, and no q where it refuses."""
     a = as_matrix(a)
-    return a.shape[1] if certified_cholesky(a) is not None else pivoted_qr(a).rank
+    if certified_cholesky(a) is not None:
+        return a.shape[1]
+    return _r_rank(scipy.linalg.qr(a, mode="raw", pivoting=True, check_finite=False)[1])
 
 
 class GatedMatrix(NamedTuple):
@@ -273,15 +278,40 @@ class FactoredMatrix(NamedTuple):
 
     Internal (not exported from the package).  ``s`` is 2^-e B, e the binary
     exponent of B's largest entry, so its entries are of order one; the
-    rescale is exact, and with e = 0 ``s`` is B itself, not a copy.
-    ``factor`` is ``certified_cholesky(s)``, None where it refuses.
+    rescale is exact, and with e = 0 ``s`` is B itself, not a copy.  ``w``
+    is d x rank with W W^T the pseudoinverse of S^T S: R^-1 where
+    ``certified_cholesky(s)`` proves rank d (``basis`` None), else V^T /
+    sigma, from the SVD of the first rank rows of the R of the pivoted QR
+    whose rule (``_r_rank``) decides the rank; V is the orthonormal
+    ``basis`` of the row space, and S W has orthonormal columns.
     ``sensitivities_wrt`` takes this value in place of B, so a caller that
     builds it makes the oracle's only pass of scaling and factoring B.
     """
 
     e: int
     s: np.ndarray
-    factor: CholeskyFactor | None
+    w: np.ndarray
+    basis: np.ndarray | None
+
+    @classmethod
+    def of(cls, b, e=None) -> "FactoredMatrix":
+        """B's ``FactoredMatrix``, B itself when it is one; given ``e``, ``b``
+        is already 2^-e B, as the regression reduction builds it."""
+        if isinstance(b, FactoredMatrix):
+            return b
+        if e is None:
+            b = as_matrix(b)
+            e = top_exponent(b)
+            b = b if e == 0 else np.ldexp(b, -e)
+        factor = certified_cholesky(b)
+        if factor is not None:
+            return cls(e, b, factor.r_inv, None)
+        _, r, pivots = scipy.linalg.qr(b, mode="raw", pivoting=True, check_finite=False)
+        rank = _r_rank(r)
+        top = np.empty((rank, b.shape[1]))
+        top[:, pivots] = r[:rank]
+        _, sigma, v = np.linalg.svd(top, full_matrices=False)
+        return cls(e, b, v.T / sigma, v)
 
 
 def top_exponent(*arrays) -> int:
@@ -301,15 +331,20 @@ def require_tall_full_rank(a) -> GatedMatrix:
     if isinstance(a, GatedMatrix):
         return a
     a = as_matrix(a)
-    n, d = a.shape
+    basis = orthonormal_basis(a)
+    check_tall_full_rank(a.shape, basis.rank)
+    return GatedMatrix(a, basis.q)
+
+
+def check_tall_full_rank(shape, rank) -> None:
+    """The gate's verdict on a matrix of this shape whose rank the rule decided."""
+    n, d = shape
     if n < d:
         raise RankDeficientError(f"matrix must be tall, got shape ({n}, {d})")
-    basis = orthonormal_basis(a)
-    if basis.rank < d:
+    if rank < d:
         raise RankDeficientError(
-            f"matrix has column rank {basis.rank} < {d}; estimators need full column rank"
+            f"matrix has column rank {rank} < {d}; estimators need full column rank"
         )
-    return GatedMatrix(a, basis.q)
 
 
 def pseudoinverse_gram(a) -> np.ndarray:

@@ -20,7 +20,6 @@ from .core import (
     FactoredMatrix,
     as_matrix,
     as_vector,
-    certified_cholesky,
     check_exponent,
     require_tall_full_rank,
     top_exponent,
@@ -72,8 +71,8 @@ def regression_via_sensitivity(a, b, p, lam=None) -> float:
     np.ldexp(a, -e, out=scaled[:n, :d])
     np.ldexp(-b, -e, out=scaled[:n, d])
     scaled[n, d] = np.ldexp(-lam, -e)
-    augmented = FactoredMatrix(e, scaled, certified_cholesky(scaled))
-    if augmented.factor is None:
+    augmented = FactoredMatrix.of(scaled, e)
+    if augmented.basis is not None:  # refused by the certificate
         require_tall_full_rank(a)
     anchor = np.zeros((1, d + 1))
     anchor[0, d] = -lam
@@ -104,7 +103,7 @@ def leave_one_out_multiregression(a, p, lam=None) -> np.ndarray:
     scaled = np.zeros((n + d, d))
     np.ldexp(a, -e, out=scaled[:n])
     np.fill_diagonal(scaled[n:], np.ldexp(lam, -e))
-    augmented = FactoredMatrix(e, scaled, certified_cholesky(scaled))
+    augmented = FactoredMatrix.of(scaled, e)
     sigmas = sensitivities_wrt(lam * np.eye(d), augmented, p)
     if not np.all(sigmas > 0):
         raise ValueError("an anchor-row sensitivity vanished; reduction undefined")

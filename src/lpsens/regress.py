@@ -51,17 +51,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (  # noqa: F401 - perfbench/tracer.py wraps regress.pseudoinverse_gram
-    RANK_TOL,
     FactoredMatrix,
     NonConvergenceError,
     WeightVector,
     as_matrix,
     as_vector,
-    certified_cholesky,
     check_exponent,
+    check_tall_full_rank,
     pseudoinverse_gram,
     require_tall_full_rank,
-    top_exponent,
 )
 from .leverage import leverage_exact
 
@@ -199,51 +197,47 @@ _CHUNK_ELEMENTS = 1 << 21
 def _minimize(B, A, p):
     """min ||B x||_p^p subject to a @ x = 1 for every row a of A (none zero).
 
-    Each factorization of B yields one d x r matrix W with W W^T the Gram's
-    pseudoinverse.  Where ``certified_cholesky`` proves B has full column
-    rank, W = R^-1 and every row lies in the row space.  Otherwise the SVD
-    of the R of a Householder QR of B gives an orthonormal basis V of the
-    row space, cut at RANK_TOL times the largest singular value, and
-    W = V^T / sigma on the kept ones; a row with an entry of n = a - a V^T V
-    above 1e-6 |a|_inf is outside: value 0 at x = n / (a @ n), no solve.
-    At p = 2 every inside row has the closed form u = a W: value 1 / |u|^2
-    at x = u W^T / |u|^2.  Any other p on a rank-deficient B (V has fewer
-    than d rows; None at full rank) is solved in the coordinates y = x V^T
-    of the row space, where B V^T has full column rank and every inside row
-    stays inside, so no second rank decision is made; x = y V maps back.
-    In the coordinates solved in, one coordinate forces y = 1 / a and any
-    more run ``_min_lp_irls``, each row on its own numbers.  Returns per-row
-    arrays (x_opt, value, converged, iterations), iterations being Newton
-    steps (HiGHS iterations on a p = 1 row HiGHS solves) and 0 without a
-    solve.
+    B's ``FactoredMatrix`` (built here unless B is one) gives one d x r
+    matrix W with W W^T the Gram's pseudoinverse, and makes the one rank
+    decision.  Where ``certified_cholesky`` proves B has full column rank,
+    W = R^-1, every row lies in the row space, and every p is solved in x
+    itself.  Where it refuses, the gate's rule on a pivoted QR decides the
+    rank r, V (r x d) is an orthonormal basis of the row space and
+    W = V^T / sigma; a row with an entry of n = a - a V^T V above
+    1e-6 |a|_inf is outside: value 0 at x = n / (a @ n), no solve.  At
+    p = 2 every inside row has the closed form u = a W: value 1 / |u|^2 at
+    x = u W^T / |u|^2.  At any other p a refused B, of full rank or not, is
+    solved in the whitened coordinates y of B W, whose columns are
+    orthonormal up to rounding, with the rows a W, and x = y W^T maps back:
+    no Newton system or vertex then inherits the conditioning of B, and a
+    zero or dependent column makes none singular.  In the coordinates solved
+    in, one coordinate forces y = 1 / a and any more run ``_min_lp_irls``,
+    each row on its own numbers.  Returns per-row arrays (x_opt, value,
+    converged, iterations), iterations being Newton steps (HiGHS iterations
+    on a p = 1 row HiGHS solves) and 0 without a solve.
 
     Everything is solved against S = 2^-e B, e the binary exponent of B's
     largest entry, with A scaled by the same 2^-e and x by the same factor
     at the end: that is exact in floating point and keeps B x and a @ x,
     while the factorizations and solves see entries of order one, so a
-    result does not depend on the input's scale.  B is a matrix or its
-    ``FactoredMatrix``; given the latter, as the regression reduction gives
-    it, S and the certificate are taken from it, and B is neither rescaled
-    nor factored here.  ``_min_lp_irls`` makes one pass over S for its row
-    norms and S^T, however many chunks it solves.
+    result does not depend on the input's scale.  Given a
+    ``FactoredMatrix``, as the regression reduction gives it, B is neither
+    rescaled nor factored here.  ``_min_lp_irls`` makes one pass over the
+    matrix it solves against for its row norms and transpose, however many
+    chunks it solves.
     """
     K, d = A.shape
-    e, B, factor = _factored(B)
-    A = np.ldexp(A, -e)
+    B = FactoredMatrix.of(B)
+    S, W, V = B.s, B.w, B.basis
+    A = np.ldexp(A, -B.e)
     x, value = np.empty((K, d)), np.zeros(K)
     converged, iterations = np.ones(K, dtype=bool), np.zeros(K, dtype=np.intp)
-    if factor is not None:
-        W, V, rest = factor.r_inv, None, np.arange(K)
-    else:
-        R = np.linalg.qr(B, mode="r")  # R^T R = B^T B; cheaper to factor than B
-        _, sv, vt = np.linalg.svd(R, full_matrices=False)
-        V = vt[sv > RANK_TOL * sv[0]]
-        W = V.T / sv[: V.shape[0]]  # W W^T = V^T diag(sigma^-2) V
+    rest = np.arange(K)
+    if V is not None:
         null = A - np.einsum("ik,kj->ij", np.einsum("ij,kj->ik", A, V), V)
         outside = np.abs(null).max(axis=1) > 1e-6 * np.abs(A).max(axis=1)
         out, rest = np.flatnonzero(outside), np.flatnonzero(~outside)
         x[out] = null[out] / np.einsum("ij,ij->i", A[out], null[out])[:, None]
-        V = V if V.shape[0] < d else None  # full rank: solve in x itself
     inner = A[rest]
     if p == 2:
         # G = W W^T, so a G a = |u|^2 and a G = u W^T for u = a W;
@@ -252,27 +246,15 @@ def _minimize(B, A, p):
         s = np.einsum("ikj,ikj->i", u, u)
         x[rest], value[rest] = np.matmul(u, W.T)[:, 0] / s[:, None], 1.0 / s
     elif rest.size:
-        if V is not None:
-            # a rank-deficient B makes vertices and Newton systems singular;
-            # B V^T has full column rank and no row of A V^T leaves its row space
-            B, inner = B @ V.T, np.einsum("ij,kj->ik", inner, V)
+        if V is not None:  # whitened: S W has orthonormal columns
+            S, inner = S @ W, np.einsum("ij,jk->ik", inner, W)
         if inner.shape[1] == 1:
             y = 1.0 / inner
-            value[rest] = np.sum(np.abs(B[:, 0] * y) ** p, axis=1)
+            value[rest] = np.sum(np.abs(S[:, 0] * y) ** p, axis=1)
         else:
-            y, value[rest], converged[rest], iterations[rest] = _min_lp_irls(B, inner, p)
-        x[rest] = y if V is None else np.einsum("ik,kj->ij", y, V)
-    return np.ldexp(x, -e), value, converged, iterations
-
-
-def _factored(B):
-    """B's ``FactoredMatrix``; B itself when it is one."""
-    if isinstance(B, FactoredMatrix):
-        return B
-    B = as_matrix(B)
-    e = top_exponent(B)
-    S = B if e == 0 else np.ldexp(B, -e)
-    return FactoredMatrix(e, S, certified_cholesky(S))
+            y, value[rest], converged[rest], iterations[rest] = _min_lp_irls(S, inner, p)
+        x[rest] = y if V is None else np.einsum("ik,jk->ij", y, W)
+    return np.ldexp(x, -B.e), value, converged, iterations
 
 
 @dataclass(frozen=True)
@@ -660,19 +642,22 @@ def sensitivities_wrt(M, B, p) -> np.ndarray:
     """Sensitivity of every row of M with respect to the matrix B.
 
     Zero rows get 0.0 and every other row 1 / value of ``_minimize``: inf
-    for a row outside the row space of B, at every p.  A row's value does not
-    depend on which rows share its batch.  At p != 1 a row's IRLS solve
-    ends as soon as a primal/dual bracket certifies its value to 1e-12
-    relative; raises NonConvergenceError when any row is neither certified
-    nor converged within the iteration limit (at p = 1 every value is a
-    certified or HiGHS-solved LP optimum).  A row that converges with its
-    bracket still open returns its IRLS value, whose last Newton step
-    changed the objective by at most 1e-11 relative; that is not a proven
-    gap (such values have measured up to 8.4e-12 relative apart at
-    p = 1.01), and only certified rows carry the 1e-12.
+    for a row outside the row space of B, at every p, as the rank gate's
+    rule decides it; a B the Cholesky certificate refuses is solved in
+    whitened coordinates at every rank.  B is a matrix or its
+    ``FactoredMatrix``.  A row's value does not depend on which rows share
+    its batch.  At p != 1 a row's IRLS solve ends as soon as a primal/dual
+    bracket certifies its value to 1e-12 relative; raises
+    NonConvergenceError when any row is neither certified nor converged
+    within the iteration limit (at p = 1 every value is a certified or
+    HiGHS-solved LP optimum).  A row that converges with its bracket still
+    open returns its IRLS value, whose last Newton step changed the
+    objective by at most 1e-11 relative; that is not a proven gap (such
+    values have measured up to 8.4e-12 relative apart at p = 1.01), and
+    only certified rows carry the 1e-12.
     """
     M = as_matrix(M)
-    B = _factored(B)
+    B = FactoredMatrix.of(B)
     _check_columns_and_p(B.s, M, "M", p)
     live = np.flatnonzero(np.any(M != 0.0, axis=1))
     _, values, converged, _ = _minimize(B, M[live], p)
@@ -689,8 +674,19 @@ def sensitivities_wrt(M, B, p) -> np.ndarray:
 def sensitivities_exact(A, p) -> WeightVector:
     """Exact lp sensitivities of every row of A with respect to A itself.
 
-    At p = 2 these are the leverage scores, read off the rank gate's QR.
+    At p = 2 these are the leverage scores, read off the rank gate's q.  At
+    any other p the oracle's ``FactoredMatrix`` of A is the rank gate, as
+    the regression reduction's certificate is: a certified A is factored
+    once, by its Cholesky certificate, and a refused one once, by the
+    pivoted QR whose rule the gate applies, with no q formed either way.
+    The oracle then solves a refused A in whitened coordinates, so its
+    values are those of any matrix with A's column space.
     """
-    gated = require_tall_full_rank(A)
-    vals = leverage_exact(gated).values if p == 2 else sensitivities_wrt(gated.a, gated.a, p)
+    if p == 2:
+        vals = leverage_exact(require_tall_full_rank(A)).values
+    else:
+        a = as_matrix(A)
+        B = FactoredMatrix.of(a)
+        check_tall_full_rank(a.shape, B.w.shape[1])
+        vals = sensitivities_wrt(a, B, p)
     return WeightVector(values=vals, kind="sensitivity", p=float(p))

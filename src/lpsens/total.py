@@ -146,7 +146,7 @@ def _bucket_index(tau: np.ndarray, n_buckets: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _RecursiveState:
-    sa: np.ndarray
+    sa: np.ndarray | None  # None when the root is a base case
     spa: np.ndarray
     rho: float
     delta: float
@@ -169,15 +169,20 @@ def _recurse(m_rows: np.ndarray, depth: int, rng: RandomSource, st: _RecursiveSt
             "internal error: sensitivity recursion exceeded its depth cap "
             f"({st.depth_cap}); buckets are not shrinking"
         )
-    if m_rows.shape[0] <= st.base_size:
+    n_node = m_rows.shape[0]
+    base = n_node <= st.base_size
+    if not base:
+        c = np.vstack([m_rows, st.sa])
+        buckets = _bucket_index(leverage_exact(c).values[:n_node], st.bucket_count)
+        keys, r_size = np.unique(buckets), st.sample_size(c.shape[0])
+        # one bucket kept whole at the formula's size would recurse on this very
+        # node: a base case (a forced r_override that does is the depth guard's)
+        base = st.r_override is None and keys.size == 1 and r_size >= n_node
+    if base:
         return float(sensitivities_wrt(m_rows, st.spa, 1.0).sum())
 
-    c = np.vstack([m_rows, st.sa])
-    tau = leverage_exact(c).values[: m_rows.shape[0]]
-    buckets = _bucket_index(tau, st.bucket_count)
-    r_size = st.sample_size(c.shape[0])
     total = 0.0
-    for k in np.unique(buckets):
+    for k in keys:
         members = np.nonzero(buckets == k)[0]
         if r_size >= members.size:
             child = m_rows[members]
@@ -225,10 +230,12 @@ def total_recursive_l1(a, cfg: TotalConfig, rng: RandomSource) -> float:
     surviving = a[keep]
 
     w = lewis_weights(gated, LewisConfig(p=1)).values  # shared by both embeddings
-    sa = lp_embedding(gated, 1, cfg.embed_eps, rng.child("sa"), weights=w)
+    sa = None  # read only by a node that recurses; at the default base size none does
+    if surviving.shape[0] > base_size:
+        sa = lp_embedding(gated, 1, cfg.embed_eps, rng.child("sa"), weights=w).materialize(a)
     spa = lp_embedding(gated, 1, min(cfg.embed_eps, rho), rng.child("spa"), weights=w)
     st = _RecursiveState(
-        sa=sa.materialize(a),
+        sa=sa,
         spa=spa.materialize(a),
         rho=rho,
         delta=delta,

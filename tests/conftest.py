@@ -8,6 +8,8 @@ smooth minimization (other p), so agreement is meaningful evidence.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog, minimize
@@ -42,18 +44,28 @@ def random_tall(rng, n, d, scale_rows=False):
     return a
 
 
+def certificate_bindings():
+    """Every module of the package that binds ``certified_cholesky``: core,
+    and any module that imports it by name."""
+    import lpsens  # noqa: F401 - loads the package's modules
+
+    return [
+        module
+        for name, module in list(sys.modules.items())
+        if name.partition(".")[0] == "lpsens" and "certified_cholesky" in vars(module)
+    ]
+
+
 def factorization_shapes(monkeypatch, call):
     """The factorizations ``call`` decides a rank with, in order:
-    ("cholesky", shape) for each ``certified_cholesky`` in ``lpsens.core``
-    and ``lpsens.reduce`` (the regression's factor of its augmented matrix,
-    which is also its rank check) that certifies, and
-    ("pivoted", shape) for each column-pivoted ``scipy.linalg.qr``.  The
-    bindings imported into other modules, such as the oracle's factor of its
-    own B, are not spied on."""
+    ("cholesky", shape) for each ``certified_cholesky`` that certifies, and
+    ("pivoted", shape) for each column-pivoted ``scipy.linalg.qr``.  Every
+    binding of ``certified_cholesky`` in the package is spied on, so the
+    oracle's factor of its own B and the regression's of its augmented
+    matrix are counted too."""
     import scipy.linalg
 
     import lpsens.core as core
-    import lpsens.reduce as reduce
 
     qr, certify, seen = scipy.linalg.qr, core.certified_cholesky, []
 
@@ -69,8 +81,8 @@ def factorization_shapes(monkeypatch, call):
         return factor
 
     monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
-    monkeypatch.setattr(core, "certified_cholesky", counting_certify)
-    monkeypatch.setattr(reduce, "certified_cholesky", counting_certify)
+    for module in certificate_bindings():
+        monkeypatch.setattr(module, "certified_cholesky", counting_certify)
     call()
     return seen
 

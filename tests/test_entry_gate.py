@@ -12,11 +12,16 @@ falls short; ``regression_via_sensitivity`` reads no q either, and its one
 factorization is the certificate of its augmented matrix [A -b; 0 -lam],
 which proves A's rank too, or the gate's where that certificate refuses.
 
-``factorization_shapes`` counts both kinds on the input's own n x d shape;
-the matrices are tall enough that no sampled embedding keeps every row, so a
-rank check of a sample never has that shape.  The oracle's factor of its own
-B (``regress._minimize``) decides no rank for the entry point and is not
-counted.
+``sensitivities_exact`` at p != 2 reads no q either: the oracle's own
+factorization of A (``core.FactoredMatrix.of``) is its rank gate, the
+certificate where it certifies and the pivoted QR, with no q, where it
+refuses, so a certified A is factored once, and a refused one is solved
+in whitened coordinates at every rank.
+
+``factorization_shapes`` counts both kinds on the input's own n x d shape,
+the oracle's factor of its B included; the matrices are tall enough that
+no sampled embedding keeps every row, so a rank check or an oracle factor
+of a sample never has that shape.
 """
 
 import numpy as np
@@ -94,7 +99,7 @@ def _ill_conditioned(rng, n, d, cond):
     return a * np.exp(rng.uniform(-2.0, 2.0, n))[:, None]
 
 
-@pytest.mark.parametrize("entry", ["exact p=2", "max p=1.5", "lewis_weights"])
+@pytest.mark.parametrize("entry", ["exact p=2", "exact p=3", "max p=1.5", "lewis_weights"])
 def test_ill_conditioned_input_takes_one_pivoted_qr(monkeypatch, entry):
     # cond ~ 1e8 is past the Cholesky certificate and far inside RANK_TOL:
     # the pivoted QR decides rank d, and nothing else factors the input

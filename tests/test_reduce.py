@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from conftest import random_tall, regression_direct
+from conftest import certificate_bindings, random_tall, regression_direct
 from lpsens.core import RankDeficientError
 from lpsens.reduce import (
     default_anchor_scale,
@@ -100,8 +100,6 @@ class TestOneFactorization:
 
     def test_one_certificate_per_call(self, monkeypatch):
         import lpsens.core as core
-        import lpsens.reduce as reduce
-        import lpsens.regress as regress
 
         certify, shapes = core.certified_cholesky, []
 
@@ -109,7 +107,7 @@ class TestOneFactorization:
             shapes.append(x.shape)
             return certify(x)
 
-        for module in (core, reduce, regress):
+        for module in certificate_bindings():
             monkeypatch.setattr(module, "certified_cholesky", counting)
         a, b = self.instance()
         regression_via_sensitivity(a, b, 1.5)

@@ -12,7 +12,13 @@ from conftest import (
     random_tall,
     sensitivity_grid_2d,
 )
-from lpsens.core import FactoredMatrix, NonConvergenceError, certified_cholesky, top_exponent
+from lpsens.core import (
+    FactoredMatrix,
+    NonConvergenceError,
+    certified_cholesky,
+    matrix_rank,
+    top_exponent,
+)
 from lpsens.reduce import default_anchor_scale
 from lpsens.regress import (
     _bracket,
@@ -172,6 +178,23 @@ class TestSensitivities:
         if p == 2:  # a G a with G = q2^T diag(s^-2) q2
             np.testing.assert_allclose(vals, np.sum((rows @ q2.T / s) ** 2, axis=1), rtol=1e-6)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("s", [1e-8, 1e-9, 3e-10, 1.2e-10, 9e-11])
+    def test_refused_full_rank_matches_its_well_conditioned_twin(self, s, p):
+        # U diag(1, .5, .3, s) V^T has U's column space, so every sensitivity
+        # is the twin's.  The gate accepts it as rank 4 down to s = 9e-11 and
+        # the certificate refuses it; solved in B's own coordinates, rows came
+        # back 22-97% off, or p = 1 raised NonConvergenceError
+        g = np.random.default_rng(40)
+        u = np.linalg.qr(g.standard_normal((60, 4)))[0]
+        v = np.linalg.qr(g.standard_normal((4, 4)))[0]
+        a = (u * [1.0, 0.5, 0.3, s]) @ v.T
+        assert certified_cholesky(a) is None and matrix_rank(a) == 4
+        got = sensitivities_exact(a, p).values
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, sensitivities_exact(u * [1.0, 0.5, 0.3, 1.0], p).values,
+                                   rtol=1e-5, atol=0)
+
     def test_sensitivity_one_matches_batch(self, np_rng):
         b = random_tall(np_rng, 14, 3)
         row = np_rng.standard_normal(3)
@@ -220,25 +243,22 @@ class TestFactoredMatrix:
     @staticmethod
     def factored(b):
         e = top_exponent(b)
-        s = np.ldexp(b, -e)
-        return FactoredMatrix(e, s, certified_cholesky(s))
+        return FactoredMatrix.of(np.ldexp(b, -e), e)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("case", ["certified", "refused", "exponent_0"])
     def test_same_bits_as_the_matrix(self, p, case):
-        import lpsens.regress as regress
-
         g = np.random.default_rng(31)
         b = random_tall(g, 60, 4, scale_rows=True)
         if case == "refused":
             b[:, 3] = 2.0 * b[:, 1]  # rank 3: the V path, and rows outside get inf
         elif case == "exponent_0":
             b /= 2.0 * np.abs(b).max()  # largest |entry| 0.5: no rescale, no copy
-            assert regress._factored(b).s is b
+            assert FactoredMatrix.of(b).s is b
         rows = g.standard_normal((9, 4))
         rows[4] = 0.0
         factored = self.factored(b)
-        assert (factored.factor is None) == (case == "refused")
+        assert (factored.basis is not None) == (case == "refused")
         got = sensitivities_wrt(rows, factored, p)
         np.testing.assert_array_equal(got, sensitivities_wrt(rows, b, p))
         assert got[4] == 0.0 and np.isinf(got).any() == (case == "refused")
@@ -280,18 +300,21 @@ class TestBatchedIrls:
         # normal matrices of the rows singular in the coordinates of x.  Rows
         # [r, r @ w] lie in the row space and have the reduced problem's value;
         # the others lie outside.  The solve runs on the row space, so no
-        # singular system falls back to least squares, and B is factored once
+        # singular system falls back to least squares, and B is factored once,
+        # by the pivoted QR whose rule decides its rank
+        import scipy.linalg
+
         def no_lstsq(*args, **kwargs):
             raise AssertionError("np.linalg.lstsq called")
 
-        qr, qr_calls = np.linalg.qr, []
+        qr, qr_calls = scipy.linalg.qr, []
 
-        def counting_qr(*args, **kwargs):
-            qr_calls.append(args[0].shape)
-            return qr(*args, **kwargs)
+        def counting_qr(x, *args, **kwargs):
+            qr_calls.append((np.shape(x), kwargs.get("pivoting", False)))
+            return qr(x, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
-        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
         for w in (np.zeros(2), np_rng.standard_normal(2)):
             b = random_tall(np_rng, 30, 3, scale_rows=True)
             b[:, 2] = b[:, :2] @ w
@@ -305,7 +328,7 @@ class TestBatchedIrls:
             assert vals[6] == 0.0
             qr_calls.clear()
             sensitivities_wrt(rows, b, p)
-            assert qr_calls == [b.shape]
+            assert qr_calls == [(b.shape, True)]
 
     def test_irls_reports_status_and_iterations(self, np_rng):
         b = random_tall(np_rng, 20, 3)
@@ -521,11 +544,11 @@ class TestBatchedIrls:
 class TestClosedFormP2:
     """p = 2 reads u = a W with W W^T the Gram pseudoinverse: W = R^-1 off the
     Cholesky factor on a certified B, with no SVD, and W = V^T / sigma from
-    the SVD of a QR's R on a refused one."""
+    the SVD of the pivoted QR's R on a refused one."""
 
     @pytest.mark.parametrize("k", [0, 900, -900])
     def test_certified_factor_matches_the_refused_path(self, np_rng, monkeypatch, k):
-        import lpsens.regress as regress
+        import lpsens.core as core
 
         # B and its rows at 2^k: the oracle rescales both before it factors
         b = np.ldexp(random_tall(np_rng, 60, 4, scale_rows=True), k)
@@ -538,8 +561,8 @@ class TestClosedFormP2:
         vals = sensitivities_wrt(rows, b, 2)
         sols = [min_lp_on_hyperplane(b, row, 2) for row in rows]
         monkeypatch.undo()
-        # the refused path: W from the SVD of a QR's R
-        monkeypatch.setattr(regress, "certified_cholesky", lambda a: None)
+        # the refused path: W from the SVD of the pivoted QR's R
+        monkeypatch.setattr(core, "certified_cholesky", lambda a: None)
         np.testing.assert_allclose(vals, sensitivities_wrt(rows, b, 2), rtol=1e-12, atol=0)
         for row, sol in zip(rows, sols):
             ref = min_lp_on_hyperplane(b, row, 2)

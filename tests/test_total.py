@@ -197,6 +197,29 @@ class TestRecursive:
         # exact up to the (1+gamma)(1+rho)^depth safety factors
         assert truth <= got <= 1.8 * truth
 
+    @pytest.mark.parametrize("seed, n, d, base_size", [(0, 120, 2, 8), (1, 400, 3, 16)])
+    def test_base_size_without_r_override_stays_in_window(self, seed, n, d, base_size):
+        # the formula's per-bucket size keeps every row, so a node of one bucket
+        # once recursed on itself until the depth guard raised; it is a base case
+        g = np.random.default_rng(seed)
+        a = g.standard_normal((n, d)) * np.exp(g.uniform(-1.5, 1.5, n))[:, None]
+        truth = float(sensitivities_exact(a, 1).values.sum())
+        cfg = TotalConfig(p=1, gamma=0.2, method="recursive_l1", base_size=base_size)
+        for draw in range(3):
+            got = total_recursive_l1(a, cfg, RandomSource(draw))
+            assert (1.0 - 1e-9) * truth <= got <= 3.0 * truth  # acceptance 06's window
+
+    @pytest.mark.parametrize("base_size, draws", [(None, 1), (8, 2)], ids=["default", "recursing"])
+    def test_sa_is_drawn_only_when_the_root_recurses(self, np_rng, monkeypatch, base_size, draws):
+        import lpsens.total as total
+
+        embed, seen = total.lp_embedding, []
+        monkeypatch.setattr(total, "lp_embedding", lambda *a, **kw: seen.append(1) or embed(*a, **kw))
+        a = random_tall(np_rng, 112, 4, scale_rows=True)
+        cfg = TotalConfig(p=1, gamma=0.2, method="recursive_l1", base_size=base_size)
+        total_recursive_l1(a, cfg, RandomSource(1))
+        assert len(seen) == draws  # spa always; sa only for a root that recurses
+
     def test_depth_guard_raises_on_non_shrinking_recursion(self):
         a = np.ones((8, 1))
         cfg = TotalConfig(p=1, gamma=0.3, method="recursive_l1",

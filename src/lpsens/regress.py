@@ -223,8 +223,8 @@ def _minimize(B, A, p):
     result does not depend on the input's scale.  Given a
     ``FactoredMatrix``, as the regression reduction gives it, B is neither
     rescaled nor factored here.  ``_min_lp_irls`` makes one pass over the
-    matrix it solves against for its row norms and transpose, however many
-    chunks it solves.
+    matrix it solves against for its row norms, however many chunks it
+    solves, and each chunk one for its transpose.
     """
     K, d = A.shape
     B = FactoredMatrix.of(B)
@@ -467,38 +467,31 @@ def _min_lp_irls(B, A, p):
     too) it is ``_crossover``, and the row retires with the vertex and its
     value; HiGHS solves a row still open after the last delta, so every row
     converges, and its iterations count HiGHS's.  Returns per-row arrays
-    (x_opt, value, converged, iterations).
+    (x_opt, value, converged, iterations), allocated here once: each chunk
+    of rows writes its own slices of them in place.
     """
     K, d = A.shape
     x, value = np.empty((K, d)), np.empty(K)
-    converged, iterations = np.empty(K, dtype=bool), np.empty(K, dtype=np.intp)
-    # one pass over B per call, not per chunk: its row norms, and B^T, whose
-    # contiguous rows the elimination gathers in place of B's strided columns
+    converged, iterations = np.empty(K, dtype=bool), np.zeros(K, dtype=np.intp)
+    # one pass over B per call, not per chunk: its row norms
     cut = _CERT_TOL * np.linalg.norm(B, axis=1)
-    Bt = np.ascontiguousarray(B.T)
     step = max(1, _CHUNK_ELEMENTS // (B.shape[0] * (d - 1)))  # rows per chunk
     for start in range(0, K, step):
-        # B^T is B's size: it goes in a list the chunk empties, so once the
-        # last chunk has eliminated its rows, no frame holds it in its Newton steps
-        part, owned = slice(start, start + step), [Bt]
-        if start + step >= K:
-            del Bt
-        x[part], value[part], converged[part], iterations[part] = _irls_chunk(
-            B, owned, A[part], cut, p
-        )
+        part = slice(start, start + step)
+        _irls_chunk(B, A[part], cut, p, x[part], value[part], converged[part], iterations[part])
     return x, value, converged, iterations
 
 
-def _irls_chunk(B, owned_bt, A, cut, p):
-    """``_min_lp_irls`` on one chunk of rows; ``owned_bt`` = [B^T] is emptied."""
-    M, c, k, rest = _eliminate_hyperplanes(owned_bt.pop(), A)
+def _irls_chunk(B, A, cut, p, x, value, converged, iterations):
+    """``_min_lp_irls`` on one chunk of rows, written into its slices x, value,
+    converged and iterations of the per-row outputs.  The chunk builds its
+    own B^T, whose contiguous rows the elimination gathers in place of B's
+    strided columns; it is B's size, and dies once the chunk's rows are
+    eliminated, so no frame holds it in the Newton steps."""
+    M, c, k, rest = _eliminate_hyperplanes(np.ascontiguousarray(B.T), A)
     z = _newton_step(M, c)  # from z = 0, where r = c: least squares
     r = _residual(M, z, c)
-    K = A.shape[0]
-    x, value = np.empty(A.shape), np.empty(K)
-    iterations = np.zeros(K, dtype=np.intp)
-    converged = np.ones(K, dtype=bool)
-    todo = np.arange(K)  # the open rows; M, c, z and r hold theirs alone
+    todo = np.arange(A.shape[0])  # the open rows; M, c, z and r hold theirs alone
     # B_j parallel to a: B_j x = t (a @ x) = t never vanishes
     shut = np.einsum("ijk,ijk->ik", M, M) <= cut * cut
     if p == 1:
@@ -556,8 +549,8 @@ def _irls_chunk(B, owned_bt, A, cut, p):
                     break
             grad, curv = _smoothed_derivatives(ra, d2, p, t)
         z[act], r[act] = za, ra
+        last = delta == _DELTAS[-1]
         if p == 1:
-            last = delta == _DELTAS[-1]
             key = np.where(shut, np.inf, np.abs(r))
             ok, x_ok, value_ok = _crossover(B, A[todo], key, cut, last)
         elif delta == _DELTAS[0]:
@@ -565,28 +558,25 @@ def _irls_chunk(B, owned_bt, A, cut, p):
         else:
             lo, hi = _bracket(B, A[todo], r, shut, p)
             ok = np.abs(hi - lo) <= _BRACKET_RTOL * hi
+            converged[todo[ok]] = True
+            ok |= last  # after the last delta the open rows leave with their IRLS points
         if ok.any():
-            # certified: the row retires for good, even from a stage that ran
-            # out of Newton steps
+            # the row retires for good: certified, even from a stage that ran out
+            # of Newton steps, or at p != 1 open after the last delta
             i = todo[ok]
             if p == 1:
-                x[i], value[i] = x_ok[ok], value_ok[ok]
+                x[i], value[i], converged[i] = x_ok[ok], value_ok[ok], True
             else:
                 x[i] = _assemble(z[ok], A[i], k[i], rest[i])
                 value[i] = np.sum(np.abs(r[ok]) ** p, axis=1)
-            converged[i] = True
             keep = ~ok
             todo, M, c, z, r, shut = todo[keep], M[keep], c[keep], z[keep], r[keep], shut[keep]
             if todo.size == 0:
                 break
 
-    if p != 1:
-        x[todo] = _assemble(z, A[todo], k[todo], rest[todo])
-        value[todo] = np.sum(np.abs(r) ** p, axis=1)
-    for i in todo if p == 1 else ():  # no vertex certified: HiGHS
+    for i in todo:  # p = 1 only, no vertex certified: HiGHS
         lp = solve_lp(B, A[i])
         x[i], value[i], converged[i], iterations[i] = lp.x, lp.value, True, lp.pivots
-    return x, value, converged, iterations
 
 
 def _check_columns_and_p(B, other, name, p):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (  # noqa: F401 - perfbench/tracer.py wraps total.pseudoinverse_gram
+    FactoredMatrix,
     RandomSource,
     as_matrix,
     check_exponent,
@@ -97,7 +98,7 @@ class OneShotTotal:
             )
         )
         embedding = lp_embedding(gated, cfg.p, cfg.embed_eps, rng.child("embed"), weights=w)
-        self.sa = embedding.materialize(a)
+        self.sa = FactoredMatrix.of(embedding.materialize(a))  # factored once for every estimate
         self.embedded_rows = len(embedding)
         self._memo = np.full(n, np.nan)  # sensitivity of each row against sa, once computed
 
@@ -144,58 +145,6 @@ def _bucket_index(tau: np.ndarray, n_buckets: int) -> np.ndarray:
     return np.clip(k, 1, n_buckets).astype(np.intp)
 
 
-@dataclass(frozen=True)
-class _RecursiveState:
-    sa: np.ndarray | None  # None when the root is a base case
-    spa: np.ndarray
-    rho: float
-    delta: float
-    r_override: int | None
-    base_size: int
-    depth_cap: int
-    bucket_count: int
-
-    def sample_size(self, n_node: int) -> int:
-        if self.r_override is not None:
-            return max(self.r_override, 1)
-        rho = self.rho
-        r = math.ceil(math.sqrt(n_node) * (1.0 + rho) / (rho * rho) * math.log(1.0 / self.delta))
-        return max(int(r), 1)
-
-
-def _recurse(m_rows: np.ndarray, depth: int, rng: RandomSource, st: _RecursiveState):
-    if depth > st.depth_cap:
-        raise RuntimeError(
-            "internal error: sensitivity recursion exceeded its depth cap "
-            f"({st.depth_cap}); buckets are not shrinking"
-        )
-    n_node = m_rows.shape[0]
-    base = n_node <= st.base_size
-    if not base:
-        c = np.vstack([m_rows, st.sa])
-        buckets = _bucket_index(leverage_exact(c).values[:n_node], st.bucket_count)
-        keys, r_size = np.unique(buckets), st.sample_size(c.shape[0])
-        # one bucket kept whole at the formula's size would recurse on this very
-        # node: a base case (a forced r_override that does is the depth guard's)
-        base = st.r_override is None and keys.size == 1 and r_size >= n_node
-    if base:
-        return float(sensitivities_wrt(m_rows, st.spa, 1.0).sum())
-
-    total = 0.0
-    for k in keys:
-        members = np.nonzero(buckets == k)[0]
-        if r_size >= members.size:
-            child = m_rows[members]
-            scale = 1.0
-        else:
-            gen = rng.child("sample", int(k)).generator()
-            pick = gen.integers(0, members.size, size=r_size)
-            child = m_rows[members[pick]]
-            scale = members.size / r_size
-        total += scale * _recurse(child, depth + 1, rng.child("bucket", int(k)), st)
-    return (1.0 + st.rho) * total
-
-
 def total_recursive_l1(a, cfg: TotalConfig, rng: RandomSource) -> float:
     """Recursive estimate of the total l1 sensitivity; never meant to undershoot.
 
@@ -234,15 +183,40 @@ def total_recursive_l1(a, cfg: TotalConfig, rng: RandomSource) -> float:
     if surviving.shape[0] > base_size:
         sa = lp_embedding(gated, 1, cfg.embed_eps, rng.child("sa"), weights=w).materialize(a)
     spa = lp_embedding(gated, 1, min(cfg.embed_eps, rho), rng.child("spa"), weights=w)
-    st = _RecursiveState(
-        sa=sa,
-        spa=spa.materialize(a),
-        rho=rho,
-        delta=delta,
-        r_override=cfg.r_override,
-        base_size=base_size,
-        depth_cap=depth_cap,
-        bucket_count=bucket_count,
-    )
-    s = _recurse(as_matrix(surviving), 0, rng.child("recurse"), st)
+    spa = FactoredMatrix.of(spa.materialize(a))  # factored once for every base case
+
+    def sample_size(n_node: int) -> int:
+        if cfg.r_override is not None:
+            return max(cfg.r_override, 1)
+        r = math.ceil(math.sqrt(n_node) * (1.0 + rho) / (rho * rho) * math.log(1.0 / delta))
+        return max(int(r), 1)
+
+    def recurse(m_rows: np.ndarray, depth: int, rng: RandomSource) -> float:
+        if depth > depth_cap:
+            raise RuntimeError(
+                "internal error: sensitivity recursion exceeded its depth cap "
+                f"({depth_cap}); buckets are not shrinking fast enough"
+            )
+        n_node = m_rows.shape[0]
+        base = n_node <= base_size
+        if not base:
+            c = np.vstack([m_rows, sa])
+            buckets = _bucket_index(leverage_exact(c).values[:n_node], bucket_count)
+            keys, r_size = np.unique(buckets), sample_size(c.shape[0])
+            # one bucket kept whole would recurse on this very node: a base case
+            base = keys.size == 1 and r_size >= n_node
+        if base:
+            return float(sensitivities_wrt(m_rows, spa, 1.0).sum())
+
+        total = 0.0
+        for k in keys:
+            members = np.nonzero(buckets == k)[0]
+            scale = max(members.size / r_size, 1.0)
+            if scale > 1.0:  # more members than r_size: r_size uniform draws stand for them
+                gen = rng.child("sample", int(k)).generator()
+                members = members[gen.integers(0, members.size, size=r_size)]
+            total += scale * recurse(m_rows[members], depth + 1, rng.child("bucket", int(k)))
+        return (1.0 + rho) * total
+
+    s = recurse(as_matrix(surviving), 0, rng.child("recurse"))
     return (1.0 + cfg.gamma) * (s + dropped * float(n) ** -5.0)

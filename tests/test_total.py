@@ -118,6 +118,30 @@ class TestOneShot:
         shot.embedded_total()
         assert sum(len(r) for r in asked) == 60
 
+    def test_sample_is_factored_once_per_object(self, np_rng, monkeypatch):
+        # two estimates that both meet unscored rows solve against the sample
+        # factored when the object was built: no certificate of its shape
+        # runs in them (one per estimate before)
+        from conftest import certificate_bindings
+
+        import lpsens.core as core
+
+        a = random_tall(np_rng, 300, 3, scale_rows=True)
+        shot = OneShotTotal(a, TotalConfig(p=1.5, gamma=0.5), RandomSource(4))
+        certify, shapes = core.certified_cholesky, []
+
+        def counting(x):
+            shapes.append(np.shape(x))
+            return certify(x)
+
+        for module in certificate_bindings():
+            monkeypatch.setattr(module, "certified_cholesky", counting)
+        for seed in (5, 6):
+            unscored = np.isnan(shot._memo).sum()
+            shot.estimate(RandomSource(seed))
+            assert np.isnan(shot._memo).sum() < unscored
+        assert shapes.count((shot.embedded_rows, 3)) == 0
+
     def test_sample_size_formula(self, np_rng):
         a = random_tall(np_rng, 50, 4)
         shot = OneShotTotal(a, TotalConfig(p=3, gamma=0.25), RandomSource(0))
@@ -220,12 +244,31 @@ class TestRecursive:
         total_recursive_l1(a, cfg, RandomSource(1))
         assert len(seen) == draws  # spa always; sa only for a root that recurses
 
-    def test_depth_guard_raises_on_non_shrinking_recursion(self):
-        a = np.ones((8, 1))
+    def test_depth_guard_raises_past_the_cap(self, monkeypatch):
+        # every node now shrinks, so the guard is met only through a cap below
+        # the recursion's depth: on acceptance 06's forced input a cap of 0.5
+        # lets the root through and stops its children (a cap of 0 would
+        # divide gamma by zero before the recursion starts)
+        import lpsens.total as total
+
+        g = np.random.default_rng(606)
+        for shape in (3, (100, 3), (200, 3)):  # acceptance 06's draws before it
+            g.standard_normal(shape)
+        forced = g.standard_normal((120, 2))
+        monkeypatch.setattr(total, "_depth_cap", lambda n, d: 0.5)
+        cfg = TotalConfig(p=1, gamma=0.2, method="recursive_l1", base_size=8, r_override=6)
+        with pytest.raises(RuntimeError, match="depth cap"):
+            total_recursive_l1(forced, cfg, RandomSource(0))
+
+    def test_r_override_keeping_a_one_bucket_node_whole_is_a_base_case(self):
+        # every row of np.ones((8, 1)) falls in one bucket, and r_override
+        # keeps them all: the node once recursed on itself until the depth
+        # guard raised an internal error
         cfg = TotalConfig(p=1, gamma=0.3, method="recursive_l1",
                           base_size=1, r_override=100)
-        with pytest.raises(RuntimeError, match="depth"):
-            total_recursive_l1(a, cfg, RandomSource(0))
+        for draw in range(3):
+            got = total_recursive_l1(np.ones((8, 1)), cfg, RandomSource(draw))
+            assert 1.0 <= got <= 3.0  # acceptance 06's window; the total is d = 1
 
     def test_deterministic(self, np_rng):
         a = random_tall(np_rng, 70, 2)

@@ -7,13 +7,14 @@ One rank rule decides the rank everywhere: a column-pivoted QR keeps the
 diagonal entries of R above RANK_TOL times the largest (``_r_rank``).  A tall
 matrix whose Gram matrix has a well-conditioned Cholesky factor provably
 passes that rule, so ``certified_cholesky`` proves full rank from two d x d
-factorizations.  Its users are the estimators' rank gate, ``matrix_rank``,
-the exact leverage scores, which take their orthonormal basis from
-CholeskyQR2 (Yamamoto, Nakatsukasa, Yanagisawa and Fukaya, 2015) where it
-certifies, and the oracle's ``FactoredMatrix.of``, which takes the row
-space of B from the same decision.  Every matrix the certificate refuses
-(wide, rank deficient, ill conditioned) gets the pivoted QR, so the decision
-is the same either way.
+factorizations.  Two functions decide rank by it, each with the pivoted
+QR for a matrix the certificate refuses (wide, rank deficient, ill
+conditioned), so the decision is the same either way.  ``orthonormal_basis``
+serves the readers of q, the rank gate and the exact leverage scores (by
+CholeskyQR2 where it certifies: Yamamoto, Nakatsukasa, Yanagisawa and
+Fukaya, 2015); ``FactoredMatrix.of`` serves the rest: the oracle,
+``matrix_rank`` (the embeddings' draws, the leverage sketch) and
+``pseudoinverse_gram``.
 """
 
 from __future__ import annotations
@@ -253,12 +254,9 @@ def orthonormal_basis(a) -> QRResult:
 
 
 def matrix_rank(a) -> int:
-    """The rank ``pivoted_qr`` decides, with no QR where the Gram's Cholesky
-    factor certifies full column rank, and no q where it refuses."""
-    a = as_matrix(a)
-    if certified_cholesky(a) is not None:
-        return a.shape[1]
-    return _r_rank(scipy.linalg.qr(a, mode="raw", pivoting=True, check_finite=False)[1])
+    """The rank ``pivoted_qr`` decides: the width of A's unscaled ``FactoredMatrix``,
+    with no QR where the Gram's Cholesky factor certifies, and no q where it refuses."""
+    return FactoredMatrix.of(as_matrix(a), 0).w.shape[1]
 
 
 class GatedMatrix(NamedTuple):
@@ -350,18 +348,13 @@ def check_tall_full_rank(shape, rank) -> None:
 def pseudoinverse_gram(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse of the Gram matrix A^T A.
 
-    Built from the SVD of A itself so the small singular values are cut at
-    the same relative threshold the rank decision uses.  No library code
-    calls it; perfbench/tracer.py wraps it by name in ``regress`` and ``total``.
+    2^-2e W W^T from A's ``FactoredMatrix``, whose W W^T is the
+    pseudoinverse of S^T S for S = 2^-e A, so the rank it keeps is the
+    rank rule's.  No library code calls it; perfbench/tracer.py wraps it by
+    name in ``regress`` and ``total``.
     """
-    a = as_matrix(a)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[1], a.shape[1]))
-    keep = s > RANK_TOL * s[0]
-    inv_sq = np.zeros_like(s)
-    inv_sq[keep] = 1.0 / s[keep] ** 2
-    return (vt.T * inv_sq) @ vt
+    f = FactoredMatrix.of(a)
+    return np.ldexp(f.w @ f.w.T, -2 * f.e)
 
 
 _WEIGHT_KINDS = ("leverage", "lewis", "sensitivity")

@@ -1,10 +1,10 @@
 """Statistical leverage scores, exact and sketched.
 
-The exact scores are squared row norms of the orthonormal basis that
-``matrix_rank`` and the estimators' rank gate decide the rank from
-(``core.orthonormal_basis``): CholeskyQR2 where the Gram's Cholesky factor
-certifies full column rank, else the column-pivoted QR and its RANK_TOL cut.
-All three agree on the rank of a matrix.
+The exact scores are squared row norms of the orthonormal basis that the
+estimators' rank gate decides the rank from (``core.orthonormal_basis``):
+CholeskyQR2 where the Gram's Cholesky factor certifies full column rank,
+else the column-pivoted QR and its RANK_TOL cut.  ``matrix_rank`` keeps the
+same rule, so all three agree on the rank of a matrix.
 
 The sketched scores compress A with a sparse sign embedding (OSNAP in block
 form; Nelson and Nguyen 2013): r sketch rows split into s = SKETCH_BLOCKS = 8

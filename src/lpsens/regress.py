@@ -294,11 +294,11 @@ def solve_lp(B, a) -> LPResult:
     return LPResult(x=x, value=float(np.abs(B @ x).sum()), pivots=int(res.nit))
 
 
-def _crossover(B, A, key, cut, last):
+def _crossover(B, A, S, key, cut, last):
     """Certify, for every row a of A, the vertex its residuals r point to.
 
-    S is the d - 1 rows of B of smallest ``key`` (|r|, inf on rows parallel
-    to a), in index order, and the vertex x solves [a; B_S] x = e_1.  With
+    S is the chunk's d - 1 rows of B of smallest ``key`` (|r|, inf on rows
+    parallel to a), sorted here; the vertex x solves [a; B_S] x = e_1.  With
     v_N = sign(B_N x) off S, B_S^T v_S - lam a = -B_N^T v_N gives the rest
     of a dual point v: B^T v = lam a.  When |v| <= 1, weak duality makes lam
     a lower bound on min ||B x||_1 and ||B x||_1 is an upper one; the row is
@@ -310,7 +310,7 @@ def _crossover(B, A, key, cut, last):
     ``_zero_set_dual``.  Returns per-row arrays (certified, x, ||B x||_1).
     """
     d = A.shape[1]
-    S = np.sort(np.argpartition(key, d - 2, axis=1)[:, : d - 1], axis=1)
+    S = np.sort(S, axis=1)
     certified, agree, x, res, value = _vertex(B, A, S)
     again = np.flatnonzero(~certified if last else ~agree)
     if again.size == 0:
@@ -331,8 +331,7 @@ def _vertex(B, A, S):
     """``_crossover``'s vertex and square dual: per-row arrays (certified,
     bounds agree, x (nan where [a; B_S] is singular), B x, ||B x||_1)."""
     K, d = A.shape
-    vertex = np.empty((K, d, d))
-    vertex[:, 0], vertex[:, 1:] = A, B[S]
+    vertex = np.concatenate([A[:, None], B[S]], axis=1)  # [a; B_S] per row
     x, _ = _solve(vertex, np.eye(1, d).repeat(K, axis=0))  # e_1 per row
     res = np.matmul(B, x[:, :, None])[:, :, 0]
     value = np.sum(np.abs(res), axis=1)
@@ -351,35 +350,30 @@ def _active_set_dual(vertex, B, v):
     return dual
 
 
-def _bracket(B, A, r, shut, p):
+def _bracket(B, A, r, S, p):
     """Bounds lo <= min ||B x||_p^p (subject to a @ x = 1) <= hi at p > 1.
 
     r = B x at a point x of the hyperplane, so hi = sum |r|^p.  S is the
-    d - 1 rows of smallest |r| but those ``shut`` (parallel to a), v_N =
-    sign(r) |r|^(p - 1) off S, and ``_active_set_dual`` completes v with
-    B^T v = lam a.  Hoelder's inequality gives lam = v @ B x <= ||v||_q
-    ||B x||_p on the whole hyperplane, q = p / (p - 1), so for lam > 0
-    lo = (lam / ||v||_q)^p (0 otherwise); at the minimum v is the gradient
-    and the two meet.  r is divided by its largest |r| first and v_S by its
-    largest entry above 1, so no power overflows however large q is, and
-    |r|^(p - 1) is the one power taken per residual: off S, |v|^q = |r|^p.
-    Returns per-row arrays (lo, hi).
+    chunk's active set, the d - 1 rows of smallest |r| but those parallel
+    to a; v_N = sign(r) |r|^(p - 1) off S, and ``_active_set_dual``
+    completes v with B^T v = lam a.  Hoelder's inequality gives
+    lam = v @ B x <= ||v||_q ||B x||_p on the whole hyperplane,
+    q = p / (p - 1), so for lam > 0 lo = (lam / ||v||_q)^p (0 otherwise);
+    at the minimum v is the gradient and the two meet.  r is divided by its
+    largest |r| first and v_S by its largest entry above 1, so no power
+    overflows however large q is, and |r|^(p - 1) is the one power taken
+    per residual: off S, |v|^q = |r|^p.  Returns per-row arrays (lo, hi).
     """
-    K, d = A.shape
     rho = np.abs(r)
-    S = np.argpartition(np.where(shut, np.inf, rho), d - 2, axis=1)[:, : d - 1].copy()
-    flat = (S + r.shape[1] * np.arange(K)[:, None]).ravel()  # S in r.ravel()
     top = rho.max(axis=1)
     rho /= top[:, None]
     v = rho ** (p - 1.0)
     mass = rho * v  # |r|^p / top^p
     hi = mass.sum(axis=1)
     np.copysign(v, r, out=v)
-    v.ravel()[flat] = 0.0
-    off_s = hi - mass.ravel()[flat].reshape(K, d - 1).sum(axis=1)  # ||v_N||_q^q
-    vertex = np.empty((K, d, d))
-    vertex[:, 0], vertex[:, 1:] = A, B[S]
-    dual = _active_set_dual(vertex, B, v)
+    np.put_along_axis(v, S, 0.0, axis=1)
+    off_s = hi - np.take_along_axis(mass, S, axis=1).sum(axis=1)  # ||v_N||_q^q
+    dual = _active_set_dual(np.concatenate([A[:, None], B[S]], axis=1), B, v)
     v_s = np.abs(dual[:, 1:])
     q = p / (p - 1.0)
     big = np.maximum(v_s.max(axis=1), 1.0)
@@ -488,6 +482,7 @@ def _irls_chunk(B, A, cut, p, x, value, converged, iterations):
     own B^T, whose contiguous rows the elimination gathers in place of B's
     strided columns; it is B's size, and dies once the chunk's rows are
     eliminated, so no frame holds it in the Newton steps."""
+    d = A.shape[1]
     M, c, k, rest = _eliminate_hyperplanes(np.ascontiguousarray(B.T), A)
     z = _newton_step(M, c)  # from z = 0, where r = c: least squares
     r = _residual(M, z, c)
@@ -550,13 +545,14 @@ def _irls_chunk(B, A, cut, p, x, value, converged, iterations):
             grad, curv = _smoothed_derivatives(ra, d2, p, t)
         z[act], r[act] = za, ra
         last = delta == _DELTAS[-1]
-        if p == 1:
-            key = np.where(shut, np.inf, np.abs(r))
-            ok, x_ok, value_ok = _crossover(B, A[todo], key, cut, last)
-        elif delta == _DELTAS[0]:
+        if p != 1 and delta == _DELTAS[0]:
             continue  # no bracket measured at 1e-2 closed: the check only costs there
+        key = np.where(shut, np.inf, np.abs(r))
+        S = np.argpartition(key, d - 2, axis=1)[:, : d - 1]  # both certificates' active set
+        if p == 1:
+            ok, x_ok, value_ok = _crossover(B, A[todo], S, key, cut, last)
         else:
-            lo, hi = _bracket(B, A[todo], r, shut, p)
+            lo, hi = _bracket(B, A[todo], r, S, p)
             ok = np.abs(hi - lo) <= _BRACKET_RTOL * hi
             converged[todo[ok]] = True
             ok |= last  # after the last delta the open rows leave with their IRLS points

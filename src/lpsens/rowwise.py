@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    FactoredMatrix,
     RandomSource,
     WeightVector,
     check_exponent,
@@ -102,7 +103,8 @@ def sensitivities_rowwise(a, cfg: RowwiseConfig, rng: RandomSource) -> RowwiseRe
         raise ValueError(f"alpha must be smaller than the row count {n}")
 
     embedding = lp_embedding(gated, cfg.p, cfg.embed_eps, rng.child("embed"))
-    sa = embedding.materialize(a)
+    # factored once, here: every oracle call below solves against this value
+    sa = FactoredMatrix.of(embedding.materialize(a))
 
     signs_per_block, alpha = cfg.signs_per_block, cfg.alpha
     nb = -(-n // alpha)
@@ -116,7 +118,6 @@ def sensitivities_rowwise(a, cfg: RowwiseConfig, rng: RandomSource) -> RowwiseRe
     # (k * nb + b) * signs_per_block + j
     compressed = np.empty((min(group, cfg.repetitions), nb, signs_per_block, d))
     per_rep = np.empty((cfg.repetitions, n))
-    calls = 0
     for first in range(0, cfg.repetitions, group):
         reps = range(first, min(first + group, cfg.repetitions))
         orders = []
@@ -135,7 +136,6 @@ def sensitivities_rowwise(a, cfg: RowwiseConfig, rng: RandomSource) -> RowwiseRe
                 signs -= 1.0
                 np.matmul(signs, blocks[lo : lo + step], out=compressed[k, lo : lo + step])
         sens = sensitivities_wrt(compressed[: len(reps)].reshape(-1, d), sa, cfg.p)
-        calls += sens.size
         best = sens.reshape(len(reps), nb, signs_per_block).max(axis=2)
         for rep, order, top in zip(reps, orders, best):
             per_rep[rep, order] = np.repeat(top, alpha)[:n]
@@ -144,7 +144,7 @@ def sensitivities_rowwise(a, cfg: RowwiseConfig, rng: RandomSource) -> RowwiseRe
     weights = WeightVector(values=estimates, kind="sensitivity", p=float(cfg.p))
     return RowwiseResult(
         estimates=weights,
-        oracle_calls=calls,
+        oracle_calls=cfg.repetitions * nb * signs_per_block,
         embedded_rows=len(embedding),
         per_repetition=per_rep,
     )

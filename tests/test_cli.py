@@ -154,6 +154,25 @@ class TestSubcommands:
         assert "values:" in out
         assert "last column used as the regression target" in out
 
+    def test_reduce_records_lam(self, rand_csv, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["reduce", "--input", rand_csv, "--p", "2", "--mode", "regression",
+                     "--lam", "0.5", "--out", str(out)]) == 0
+        assert SensitivityReport.from_json(out.read_text()).config["lam"] == 0.5
+
+    def test_all_exact_notes_the_rows_its_metrics_skip(self, tmp_path, capsys):
+        # a zero row's exact sensitivity is 0, so it has no log-ratio, and a
+        # note says so
+        a = np.random.default_rng(3).standard_normal((30, 2))
+        a[4] = 0.0
+        path = write_matrix(tmp_path / "z.csv", a)
+        out = tmp_path / "r.json"
+        assert main(["all", "--input", path, "--p", "1.5", "--exact", "--seed", "1",
+                     "--out", str(out)] + _ROWWISE) == 0
+        rep = SensitivityReport.from_json(out.read_text())
+        assert rep.oracle_per_row[4] == 0.0
+        assert "log_ratio_rows_skipped=1" in rep.notes and rep.metrics is not None
+
     def test_reduce_leave_one_out(self, rand_csv, capsys):
         assert main(["reduce", "--input", rand_csv, "--p", "2",
                      "--mode", "leave-one-out"]) == 0

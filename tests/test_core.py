@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lpsens.core import (
+    FactoredMatrix,
     RandomSource,
     RankDeficientError,
     WeightVector,
@@ -46,6 +47,9 @@ class TestLpNorm:
     def test_zero_vector(self):
         assert lp_norm(np.zeros(4), 1.5) == 0.0
 
+    def test_empty_vector(self):
+        assert lp_norm(np.array([]), 1.5) == lp_norm(np.array([]), np.inf) == 0.0
+
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError):
             lp_norm(np.ones(3), 0.5)
@@ -69,6 +73,8 @@ class TestConversions:
         assert v.shape == (3,) and v.dtype == np.float64
         with pytest.raises(ValueError):
             as_vector([[1, 2]])
+        with pytest.raises(ValueError, match="vector entries must be finite"):
+            as_vector([1.0, np.nan])
 
 
 class TestRank:
@@ -79,6 +85,7 @@ class TestRank:
         assert matrix_rank(a) == 4
         # no Gram to factor and no pivot above zero
         assert matrix_rank(np.zeros((30, 5))) == matrix_rank(np.zeros((3, 5))) == 0
+        assert FactoredMatrix.of(np.zeros((30, 5))).w.shape == (5, 0)
 
     def test_pivoted_qr_shapes_and_reconstruction(self, np_rng):
         a = np_rng.standard_normal((20, 4))
@@ -107,6 +114,11 @@ class TestRank:
         np.testing.assert_allclose(
             pseudoinverse_gram(a), np.linalg.pinv(a.T @ a), atol=1e-8
         )
+        # the factor's 2^-e is undone exactly, and a zero A has a zero pseudoinverse
+        np.testing.assert_array_equal(
+            pseudoinverse_gram(np.ldexp(a, 300)), np.ldexp(pseudoinverse_gram(a), -600)
+        )
+        np.testing.assert_array_equal(pseudoinverse_gram(np.zeros((6, 3))), np.zeros((3, 3)))
 
 
 def _conditioned(n, d, cond, seed):
@@ -162,7 +174,8 @@ class TestCholeskyCertificate:
             a = _conditioned(*shape, cond, seed=k)
             factor = certified_cholesky(a)
             certified.append(factor is not None)
-            assert matrix_rank(a) == pivoted_qr(a).rank, cond
+            # matrix_rank factors A unscaled and the oracle 2^-e A, by one rule
+            assert matrix_rank(a) == FactoredMatrix.of(a).w.shape[1] == pivoted_qr(a).rank, cond
             assert _gate_outcome(a) == _pivoted_outcome(a), cond
             if factor is not None:
                 # the bound the certificate rests on: cond_2(A) < 2 kappa
@@ -265,7 +278,7 @@ class TestCholeskyCertificate:
             a = a[:, :1]
         full = case in ("zero_rows", "square", "one_column")
         assert (certified_cholesky(a) is not None) == full
-        assert matrix_rank(a) == pivoted_qr(a).rank
+        assert matrix_rank(a) == FactoredMatrix.of(a).w.shape[1] == pivoted_qr(a).rank
         assert _gate_outcome(a) == _pivoted_outcome(a)
         if full:
             q = pivoted_qr(a).q
@@ -310,8 +323,21 @@ class TestRandomSource:
         src = RandomSource(1).child("alpha", 10, "rep", 0)
         assert src.generator().random() == src.generator().random()
 
+    def test_other_keys_rejected(self):
+        with pytest.raises(TypeError, match="stream key must be int or str"):
+            RandomSource(1).child(1.5)
+
 
 class TestWeightVector:
+    def test_validation(self):
+        ones = np.ones(3)
+        with pytest.raises(ValueError, match="kind must be one of"):
+            WeightVector(values=ones, kind="lewsi", p=1.5)
+        with pytest.raises(ValueError, match="kind 'lewis' requires p"):
+            WeightVector(values=ones, kind="lewis")
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            WeightVector(values=np.array([0.5, -0.5, 1.0]), kind="leverage")
+
     def test_total_and_len(self):
         w = WeightVector(values=np.array([0.25, 0.75, 0.5]), kind="leverage", p=2.0)
         assert len(w) == 3

@@ -7,6 +7,7 @@ import scipy.linalg
 from conftest import random_tall
 from lpsens.core import RandomSource
 from lpsens.embed import (
+    SamplingEmbedding,
     inclusion_probabilities,
     linf_embedding,
     lp_embedding,
@@ -91,6 +92,15 @@ class TestLpEmbedding:
         a[:, 3] = a[:, 0] - a[:, 1]
         with pytest.raises(ValueError, match="eps must be in"):
             lp_embedding(a, 1, eps, RandomSource(0))
+
+    def test_rejects_weights_of_the_wrong_length(self, np_rng):
+        a = random_tall(np_rng, 20, 2)
+        with pytest.raises(ValueError, match="weights length must match the row count"):
+            lp_embedding(a, 1, 0.5, RandomSource(0), weights=np.full(19, 0.1))
+
+    def test_sampling_embedding_needs_one_scale_per_row(self):
+        with pytest.raises(ValueError, match="source_rows and scales must have equal length"):
+            SamplingEmbedding(source_rows=[0, 2], scales=[1.0], p=1.0, target_distortion=0.5)
 
 
 class TestLinfEmbedding:

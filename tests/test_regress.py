@@ -80,6 +80,13 @@ class TestHyperplaneMinimization:
         with pytest.raises(ValueError, match="p must be finite and >= 1"):
             sensitivities_wrt(b[:3], b, p)
 
+    def test_mismatched_columns_rejected(self, np_rng):
+        b = random_tall(np_rng, 10, 3)
+        with pytest.raises(ValueError, match="B has 3 columns, a has 2"):
+            min_lp_on_hyperplane(b, np.ones(2), 1.5)
+        with pytest.raises(ValueError, match="B has 3 columns, M has 4"):
+            sensitivities_wrt(np.ones((2, 4)), b, 1.5)
+
 
 class TestSensitivities:
     def test_grid_oracle_d2(self, np_rng):
@@ -533,7 +540,9 @@ class TestBatchedIrls:
         for point in (start, x):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                lo, hi = _bracket(b, b[rows], point @ b.T, shut, p)
+                r = point @ b.T
+                S = np.argpartition(np.where(shut, np.inf, np.abs(r)), d - 2, axis=1)[:, : d - 1]
+                lo, hi = _bracket(b, b[rows], r, S, p)
             assert np.all(np.isfinite(lo) & np.isfinite(hi) & (lo >= 0.0))
             assert np.all(lo <= ref * (1.0 + 1e-12))
             assert np.all(ref <= hi * (1.0 + 1e-12))
@@ -631,8 +640,8 @@ class TestBatchedLp:
 
         crossover, solve_lp = regress._crossover, regress.solve_lp
 
-        def reject(B, A, key, cut, last):
-            certified, x, value = crossover(B, A, key, cut, last)
+        def reject(B, A, S, key, cut, last):
+            certified, x, value = crossover(B, A, S, key, cut, last)
             return np.zeros_like(certified), x, value
 
         monkeypatch.setattr(regress, "_crossover", reject)
@@ -685,8 +694,8 @@ class TestBatchedLp:
         b = self.degenerate_matrix(name)
         crossover, certified = regress._crossover, []
 
-        def spy(B, A, key, cut, last):
-            ok, x, value = crossover(B, A, key, cut, last)
+        def spy(B, A, S, key, cut, last):
+            ok, x, value = crossover(B, A, S, key, cut, last)
             certified.append(np.count_nonzero(ok))
             return ok, x, value
 
@@ -717,7 +726,8 @@ class TestBatchedLp:
         accepted = 0
         for noise in (0.0, 1e-3, 1e-1, 1.0, 10.0):
             r = res + noise * np.abs(res).mean() * np_rng.standard_normal(res.shape)
-            certified, _, value = regress._crossover(b, rows, np.abs(r), cut, True)
+            S = np.argpartition(np.abs(r), 1, axis=1)[:, :2]  # d - 1 = 2 smallest
+            certified, _, value = regress._crossover(b, rows, S, np.abs(r), cut, True)
             np.testing.assert_allclose(value[certified], ref[certified], rtol=1e-9)
             S, found = regress._independent_rows(b, rows, np.abs(r), cut)
             _, _, x, res_x, value = regress._vertex(b, rows, S)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_tall
+from conftest import factorization_shapes, random_tall
 from lpsens import rowwise
 from lpsens.core import RandomSource, require_tall_full_rank
 from lpsens.embed import lp_embedding
@@ -20,6 +20,8 @@ class TestConfig:
             RowwiseConfig(p=1, alpha=2, repetitions=4)  # must be odd
         with pytest.raises(ValueError):
             RowwiseConfig(p=1, alpha=2, embed_eps=1.0)
+        with pytest.raises(ValueError, match="signs_per_block must be positive"):
+            RowwiseConfig(p=1, alpha=2, signs_per_block=0)
 
     def test_integer_fields_take_integral_values_only(self):
         cfg = RowwiseConfig(p=1, alpha=5.0, signs_per_block=np.int64(8), repetitions=3.0)
@@ -28,6 +30,9 @@ class TestConfig:
         for field in ("alpha", "signs_per_block", "repetitions"):
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
                 RowwiseConfig(p=1, **{"alpha": 5, field: 2.5})
+            # a value float() refuses is named the same way
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                RowwiseConfig(p=1, **{"alpha": 5, field: "x"})
         with pytest.raises(ValueError, match="alpha must be an integer"):
             RowwiseConfig(p=1, alpha=float("nan"))
 
@@ -201,6 +206,26 @@ class TestOneOracleCall:
             assert len(rows) == calls and sum(rows) == res.oracle_calls == full.oracle_calls
             np.testing.assert_array_equal(res.per_repetition, full.per_repetition)
             np.testing.assert_array_equal(res.estimates.values, full.estimates.values)
+
+    def test_sample_is_factored_once(self, np_rng, monkeypatch):
+        # with one repetition per oracle call, the five calls solve against
+        # one factoring of the Lewis sample (once per call before)
+        a = random_tall(np_rng, 47, 3, scale_rows=True)
+        cfg = RowwiseConfig(p=1.5, alpha=5, signs_per_block=4, repetitions=5)
+        full = sensitivities_rowwise(a, cfg, RandomSource(9))
+        # drawn outside the count: the draw's own rank check certifies a
+        # matrix of the sample's shape too
+        embedding = lp_embedding(a, cfg.p, cfg.embed_eps, RandomSource(9).child("embed"))
+        monkeypatch.setattr(rowwise, "lp_embedding", lambda *args: embedding)
+        monkeypatch.setattr(rowwise, "_ROW_BUDGET", 10 * 4)  # blocks x signs
+        rows, out = counting_oracle(monkeypatch), []
+        seen = factorization_shapes(
+            monkeypatch, lambda: out.append(sensitivities_rowwise(a, cfg, RandomSource(9)))
+        )
+        assert len(rows) == 5
+        assert [shape for _, shape in seen].count((len(embedding), 3)) == 1
+        np.testing.assert_array_equal(out[0].per_repetition, full.per_repetition)
+        np.testing.assert_array_equal(out[0].estimates.values, full.estimates.values)
 
     def test_no_call_exceeds_the_row_budget(self, np_rng, monkeypatch):
         # at the default 100 signs and 9 repetitions a repetition of 300 blocks

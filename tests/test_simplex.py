@@ -149,8 +149,8 @@ def test_failed_dual_recovery_reroutes_that_row_alone(np_rng, monkeypatch):
     row_2 = as_solved(b, rows[2])
     crossover, real_solve_lp = regress._crossover, regress.solve_lp
 
-    def reject_row_2(B, A, key, cut, last):
-        certified, x, value = crossover(B, A, key, cut, last)
+    def reject_row_2(B, A, S, key, cut, last):
+        certified, x, value = crossover(B, A, S, key, cut, last)
         return certified & ~(A == row_2).all(axis=1), x, value
 
     rerouted = []

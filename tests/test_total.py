@@ -167,6 +167,8 @@ class TestBoundedRatioMean:
             bounded_ratio_mean(v, 1.0, 1.2, 0.1, RandomSource(0))
         with pytest.raises(ValueError):
             bounded_ratio_mean(v, 1.0, 0.2, 0.0, RandomSource(0))
+        with pytest.raises(ValueError, match="nonempty 1-D array"):
+            bounded_ratio_mean(np.ones((2, 5)), 1.0, 0.2, 0.1, RandomSource(0))
 
     def test_outlier_mixture_within_gamma_mostly(self):
         vals = np.concatenate([np.ones(999), [100.0]])
